@@ -15,14 +15,16 @@ are recorded per vertex ``v`` (Table II):
 With the tags, every ``|N(v, .)|`` query — the count of neighbours with
 smaller / equal / greater coreness, or greater rank — is O(1), and the
 corresponding neighbour slice is a contiguous array view.  This is the
-"index building" stage of the paper's Optimal algorithms; it costs ``O(m)``
-time and ``O(m)`` space.
+"index building" stage of the paper's Optimal algorithms; it takes ``O(m)``
+space.
 
 The paper realises the ordering with two passes of counting sort over the
-edge set (bins indexed by coreness).  We express the identical permutation
-with one ``numpy.lexsort`` over the arc list, which sorts arcs by
-``(target vertex, rank of source)``; grouping by target then yields every
-adjacency list already ordered by source rank.
+edge set (bins indexed by coreness), ``O(m)`` in all.  Here the identical
+permutation comes from one sort of ``2m`` int64 keys ``row * n + rank[nbr]``
+(:func:`repro.engine.levels.rank_ordered_adjacency`, shared with every
+hierarchy family), which is ``O(m log m)``; each tag is then a binary search
+for a per-row key threshold.  A native ``O(m)`` counting-sort kernel
+remains open.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..engine.levels import rank_ordered_adjacency
 from ..graph.csr import Graph
 from .decomposition import CoreDecomposition, core_decomposition
 
@@ -138,35 +141,14 @@ def order_vertices(
         A precomputed :func:`core_decomposition` result; computed on the fly
         when omitted.
 
-    Complexity: ``O(m)`` time (two counting-sort passes in the paper; a
-    single arc-list sort here), ``O(m)`` space.
+    Complexity: ``O(m log m)`` time for one sort of ``2m`` int64 arc keys
+    (the paper's two counting-sort passes are ``O(m)``), ``O(m)`` space.
     """
     if decomposition is None:
         decomposition = core_decomposition(graph)
-    coreness = decomposition.coreness
-    n = graph.num_vertices
-
-    # rank is the inverse permutation of the coreness-stable vertex order.
-    rank = np.empty(n, dtype=np.int64)
-    rank[decomposition.order] = np.arange(n, dtype=np.int64)
-
-    degrees = graph.degrees()
-    dst = np.repeat(np.arange(n, dtype=np.int64), degrees)  # arc target
-    src = graph.indices  # arc source (the neighbour to be placed)
-    # Sort arcs by (target, rank of neighbour): each adjacency slice ends up
-    # ordered by ascending neighbour rank.  Equivalent to the two bin passes
-    # of Algorithm 1.
-    perm = np.lexsort((rank[src], dst))
-    indices = np.ascontiguousarray(src[perm])
-
-    # Position tags via per-row counts (vectorised "one scan of the edge set").
-    rows = dst[perm]
-    nbr_core = coreness[indices]
-    own_core = coreness[rows]
-    same = _tag_counts(rows, nbr_core < own_core, n)
-    plus = _tag_counts(rows, nbr_core <= own_core, n)
-    high = _tag_counts(rows, rank[indices] < rank[rows], n)
-
+    rank, indices, same, plus, high = rank_ordered_adjacency(
+        graph, decomposition.coreness, decomposition.order, decomposition.shell_start
+    )
     return OrderedGraph(
         graph=graph,
         decomposition=decomposition,
@@ -177,13 +159,3 @@ def order_vertices(
         plus=plus,
         high=high,
     )
-
-
-def _tag_counts(rows: np.ndarray, mask: np.ndarray, n: int) -> np.ndarray:
-    """Count, per row, how many adjacency entries satisfy ``mask``.
-
-    Because each slice is sorted by rank, the count of entries *below* a
-    rank/coreness threshold equals the offset of the first entry at or above
-    it — exactly the position-tag semantics of Table II.
-    """
-    return np.bincount(rows[mask], minlength=n).astype(np.int64)

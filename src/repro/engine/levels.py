@@ -11,7 +11,9 @@ This module is the single implementation of that generalisation, shared by
 every registered :class:`~repro.engine.family.HierarchyFamily` (k-core,
 k-truss, weighted s-core, k-ECC, and anything registered later):
 
-* :func:`level_ordering` — Algorithm 1 for an arbitrary level array;
+* :func:`level_ordering` — Algorithm 1 for an arbitrary level array, via
+  :func:`rank_ordered_adjacency`, the arc sort and position tags that
+  :func:`repro.core.ordering.order_vertices` shares;
 * :func:`unweighted_level_charges` / :func:`accumulate_level_totals` /
   :func:`triangle_level_increments` — the per-vertex charges and suffix-sum
   accumulation of Algorithms 2/3, backend-aware via :mod:`repro.kernels`;
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.csr import Graph
+from ..kernels.common import rank_sort_arcs
 from .metrics import Metric
 from .primary import GraphTotals, PrimaryValues
 from .triangles import triangles_by_min_rank_vertex, triplet_group_deltas
@@ -41,6 +44,7 @@ __all__ = [
     "LevelSetScores",
     "level_ordering",
     "level_set_scores",
+    "rank_ordered_adjacency",
     "unweighted_level_charges",
     "accumulate_level_totals",
     "cumulate_from_top",
@@ -88,25 +92,11 @@ def level_ordering(graph: Graph, levels: np.ndarray) -> LevelOrdering:
         raise ValueError("levels must be non-negative")
 
     order = np.argsort(levels, kind="stable").astype(np.int64)
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n, dtype=np.int64)
-
     max_level = int(levels.max()) if n else 0
     counts = np.bincount(levels, minlength=max_level + 1) if n else np.zeros(1, np.int64)
     level_start = np.zeros(max_level + 2, dtype=np.int64)
     np.cumsum(counts, out=level_start[1:])
-
-    degrees = graph.degrees()
-    dst = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    src = graph.indices
-    perm = np.lexsort((rank[src], dst))
-    indices = np.ascontiguousarray(src[perm])
-    rows = dst[perm]
-    nbr_level = levels[indices]
-    own_level = levels[rows]
-
-    def tag(mask: np.ndarray) -> np.ndarray:
-        return np.bincount(rows[mask], minlength=n).astype(np.int64)
+    rank, indices, same, plus, high = rank_ordered_adjacency(graph, levels, order, level_start)
 
     return LevelOrdering(
         graph=graph,
@@ -114,12 +104,43 @@ def level_ordering(graph: Graph, levels: np.ndarray) -> LevelOrdering:
         rank=rank,
         indptr=graph.indptr.copy(),
         indices=indices,
-        same=tag(nbr_level < own_level),
-        plus=tag(nbr_level <= own_level),
-        high=tag(rank[indices] < rank[rows]),
+        same=same,
+        plus=plus,
+        high=high,
         order=order,
         level_start=level_start,
     )
+
+
+def rank_ordered_adjacency(
+    graph: Graph, levels: np.ndarray, order: np.ndarray, level_start: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Algorithm 1's arc sort and position tags: the one implementation.
+
+    ``order`` lists the vertices by ascending ``(level, id)`` and
+    ``order[level_start[k]:]`` are those with level ``>= k``.  Returns
+    ``(rank, indices, same, plus, high)``: ``rank`` inverts ``order``,
+    ``indices`` holds every adjacency slice sorted by neighbour rank, and
+    each tag is the offset in ``v``'s slice of the first neighbour of
+    level ``>= level(v)`` (``same``), ``> level(v)`` (``plus``) or rank
+    ``> rank(v)`` (``high``).
+
+    The arcs are sorted as one int64 key ``row * n + rank[nbr]``, so a
+    tag is a threshold on the keys of one row and each tag array is one
+    binary search over the sorted keys.  Cost: a sort of ``2m`` keys,
+    ``O(m log m)``; the paper's two counting-sort passes reach ``O(m)``.
+    """
+    n = graph.num_vertices
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n, dtype=np.int64)
+    rows = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
+    key, indices = rank_sort_arcs(rows, graph.indices, rank, order)
+    row_key = np.arange(n, dtype=np.int64) * n
+    start = graph.indptr[:-1]
+    same = np.searchsorted(key, row_key + level_start[levels]) - start
+    plus = np.searchsorted(key, row_key + level_start[levels + 1]) - start
+    high = np.searchsorted(key, row_key + rank) - start
+    return rank, indices, same, plus, high
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.builder import GraphBuilder
-from ..graph.csr import Graph
+from ..graph.csr import Graph, graph_from_edge_keys
 
 __all__ = [
     "gnm_random_graph",
@@ -46,8 +46,8 @@ def gnm_random_graph(num_vertices: int, num_edges: int, *, seed: int = 0) -> Gra
             chosen.add(int(key))
             if len(chosen) == target:
                 break
-    keys = np.fromiter(chosen, dtype=np.int64, count=len(chosen))
-    return Graph.from_edges(np.column_stack([keys // n, keys % n]), num_vertices=n)
+    graph, _ = graph_from_edge_keys(np.fromiter(chosen, dtype=np.int64, count=len(chosen)), n)
+    return graph
 
 
 def barabasi_albert(num_vertices: int, attach: int, *, seed: int = 0) -> Graph:
@@ -126,8 +126,8 @@ def chung_lu(weights: np.ndarray, *, seed: int = 0) -> Graph:
     keep = u != v
     lo = np.minimum(u[keep], v[keep]).astype(np.int64)
     hi = np.maximum(u[keep], v[keep]).astype(np.int64)
-    keys = np.unique(lo * np.int64(n) + hi)
-    return Graph.from_edges(np.column_stack([keys // n, keys % n]), num_vertices=n)
+    graph, _ = graph_from_edge_keys(lo * np.int64(n) + hi, n)
+    return graph
 
 
 def powerlaw_chung_lu(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graph.csr import Graph
+from ..graph.csr import Graph, graph_from_edge_keys
 
 __all__ = ["rmat_graph"]
 
@@ -51,5 +51,5 @@ def rmat_graph(
     keep = src != dst
     lo = np.minimum(src[keep], dst[keep])
     hi = np.maximum(src[keep], dst[keep])
-    keys = np.unique(lo * np.int64(n) + hi)
-    return Graph.from_edges(np.column_stack([keys // n, keys % n]), num_vertices=n)
+    graph, _ = graph_from_edge_keys(lo * np.int64(n) + hi, n)
+    return graph

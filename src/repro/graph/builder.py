@@ -26,9 +26,9 @@ from typing import Hashable, Iterable
 
 import numpy as np
 
-from .csr import Graph
+from .csr import Graph, graph_from_edge_keys
 
-__all__ = ["GraphBuilder"]
+__all__ = ["GraphBuilder", "graph_from_endpoints"]
 
 
 class GraphBuilder:
@@ -100,22 +100,24 @@ class GraphBuilder:
         The builder remains usable afterwards (more edges can be added and
         ``build`` called again).
         """
-        n = len(self._labels)
-        if not self._src:
-            self.num_self_loops_dropped = 0
-            self.num_duplicates_dropped = 0
-            return Graph.empty(n)
         src = np.asarray(self._src, dtype=np.int64)
         dst = np.asarray(self._dst, dtype=np.int64)
-        loops = src == dst
-        self.num_self_loops_dropped = int(loops.sum())
-        src, dst = src[~loops], dst[~loops]
-        # Canonical orientation (u < v) then deduplicate.
-        lo = np.minimum(src, dst)
-        hi = np.maximum(src, dst)
-        keys = lo * np.int64(n) + hi
-        unique_keys = np.unique(keys)
-        self.num_duplicates_dropped = int(len(keys) - len(unique_keys))
-        lo = unique_keys // n
-        hi = unique_keys % n
-        return Graph.from_edges(np.column_stack([lo, hi]), num_vertices=n)
+        graph, self.num_self_loops_dropped, self.num_duplicates_dropped = graph_from_endpoints(
+            src, dst, len(self._labels)
+        )
+        return graph
+
+
+def graph_from_endpoints(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[Graph, int, int]:
+    """Clean dense-id edge endpoints into a CSR graph on ``n`` vertices.
+
+    Returns ``(graph, self_loops_dropped, duplicates_dropped)``; a duplicate
+    is a repeat of an undirected edge in either orientation.
+    """
+    loops = src == dst
+    keep = ~loops
+    src, dst = src[keep], dst[keep]
+    # Canonical orientation (u < v) as one int64 key per edge.
+    keys = np.minimum(src, dst) * np.int64(n) + np.maximum(src, dst)
+    graph, duplicates = graph_from_edge_keys(keys, n)
+    return graph, int(loops.sum()), duplicates

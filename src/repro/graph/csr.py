@@ -31,7 +31,7 @@ import numpy as np
 
 from ..errors import GraphFormatError
 
-__all__ = ["Graph"]
+__all__ = ["Graph", "graph_from_edge_keys"]
 
 
 class Graph:
@@ -99,7 +99,9 @@ class Graph:
             Total vertex count; defaults to ``max endpoint + 1``.  Vertices
             with no incident edge are allowed (they are isolated).
         """
-        pairs = np.asarray(list(edges), dtype=np.int64)
+        if not isinstance(edges, (np.ndarray, list, tuple)):
+            edges = list(edges)
+        pairs = np.asarray(edges, dtype=np.int64)
         if pairs.size == 0:
             n = int(num_vertices or 0)
             return cls(np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64), validate=False)
@@ -107,26 +109,19 @@ class Graph:
             raise GraphFormatError("edges must be an iterable of (u, v) pairs")
         if pairs.min() < 0:
             raise GraphFormatError("vertex ids must be non-negative")
-        if (pairs[:, 0] == pairs[:, 1]).any():
+        lo = np.minimum(pairs[:, 0], pairs[:, 1])
+        hi = np.maximum(pairs[:, 0], pairs[:, 1])
+        if (lo == hi).any():
             raise GraphFormatError("self loops are not allowed; use GraphBuilder to drop them")
-        n = int(pairs.max()) + 1
+        n = int(hi.max()) + 1
         if num_vertices is not None:
             if num_vertices < n:
                 raise GraphFormatError(f"num_vertices={num_vertices} smaller than max endpoint {n - 1}")
             n = int(num_vertices)
-        # Symmetrise: every undirected edge appears in both directions.
-        src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        order = np.lexsort((dst, src))
-        src = src[order]
-        dst = dst[order]
-        dup = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
-        if dup.any():
+        graph, duplicates = graph_from_edge_keys(lo * np.int64(n) + hi, n)
+        if duplicates:
             raise GraphFormatError("duplicate edges found; use GraphBuilder to deduplicate")
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(indptr, dst, validate=False)
+        return graph
 
     @classmethod
     def from_arrays(
@@ -264,6 +259,30 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.num_vertices}, m={self.num_edges})"
+
+
+def graph_from_edge_keys(keys: np.ndarray, n: int) -> tuple[Graph, int]:
+    """Build the CSR graph on ``n`` vertices from canonical edge keys.
+
+    Each undirected edge ``{u, v}`` with ``u < v`` is the int64 key
+    ``u * n + v``; ``keys`` may hold repeats, in any order (the array is
+    sorted in place).  Repeats are dropped; the count dropped is returned
+    next to the graph.  This is the one array CSR builder: every key and
+    its mirror ``v * n + u`` are sorted together, which groups arcs by row
+    with each row in ascending neighbour id, and ``indptr`` is the prefix
+    sum of the per-vertex arc counts.
+    """
+    keys.sort()
+    fresh = np.empty(len(keys), dtype=bool)
+    fresh[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    keys = keys[fresh]
+    lo, hi = np.divmod(keys, n)
+    arcs = np.concatenate([keys, hi * n + lo])
+    arcs.sort()
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n), out=indptr[1:])
+    return Graph(indptr, arcs % n, validate=False), int(len(fresh) - len(keys))
 
 
 def _check_shape(indptr: np.ndarray, indices: np.ndarray) -> None:

@@ -3,8 +3,10 @@
 The paper's datasets are distributed as SNAP-style text edge lists: one edge
 per line, whitespace separated, ``#`` comment lines.  This module reads and
 writes that format (optionally gzip-compressed) into the package's CSR
-:class:`~repro.graph.csr.Graph` via :class:`~repro.graph.builder.GraphBuilder`,
-so dirty input (duplicates, self loops, sparse ids) is handled uniformly.
+:class:`~repro.graph.csr.Graph`.  Dirty input (duplicates, self loops,
+sparse ids) is handled uniformly: plain integer files take an array-native
+path, and every other file goes through
+:class:`~repro.graph.builder.GraphBuilder`, with identical results.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ import io
 import os
 from typing import IO, Iterator
 
+import numpy as np
+
 from ..errors import GraphFormatError
-from .builder import GraphBuilder
+from .builder import GraphBuilder, graph_from_endpoints
 from .csr import Graph
 
 __all__ = [
@@ -110,6 +114,18 @@ def load_edge_list(
     LoadedGraph
         Clean CSR graph plus the original label mapping.
     """
+    if as_int and delimiter is None and comments == "#":
+        loaded = _load_int_edge_list(path)
+        if loaded is not None:
+            return loaded
+    return _load_with_builder(path, comments=comments, delimiter=delimiter, as_int=as_int)
+
+
+def _load_with_builder(
+    path: str | os.PathLike, *, comments: str = "#", delimiter: str | None = None,
+    as_int: bool = True,
+) -> LoadedGraph:
+    """The general loader: one :meth:`GraphBuilder.add_edge` per line."""
     builder = GraphBuilder()
     with _open_text(path, "r") as handle:
         for u, v in iter_edge_lines(handle, comments=comments, delimiter=delimiter):
@@ -124,6 +140,73 @@ def load_edge_list(
     return LoadedGraph(
         graph, builder.labels, builder.num_self_loops_dropped, builder.num_duplicates_dropped
     )
+
+
+#: The only bytes the integer fast path accepts once comment lines are gone.
+_INT_TEXT_BYTES = b"0123456789 \t\r\n"
+
+
+def _drop_comment_lines(data: bytes) -> bytes | None:
+    """``data`` without its whole ``#`` comment lines.
+
+    A comment line is optional spaces or tabs, then ``#``.  Returns ``None``
+    when a ``#`` follows a field on its line (an inline comment).
+    """
+    pieces = []
+    kept_from = 0
+    mark = data.find(b"#")
+    while mark >= 0:
+        line_start = data.rfind(b"\n", 0, mark) + 1
+        if data[line_start:mark].strip(b" \t"):
+            return None
+        pieces.append(data[kept_from:line_start])
+        line_end = data.find(b"\n", mark)
+        kept_from = len(data) if line_end < 0 else line_end + 1
+        mark = data.find(b"#", kept_from)
+    pieces.append(data[kept_from:])
+    return b"".join(pieces)
+
+
+def _load_int_edge_list(path: str | os.PathLike) -> LoadedGraph | None:
+    """Array-native loader for plain non-negative integer edge lists.
+
+    Returns ``None`` for any input it does not take, so that the caller
+    falls back to :func:`_load_with_builder`; for every input it does take,
+    the result is identical to that path's.  It takes ASCII text whose
+    lines, once whole ``#`` comment lines are dropped, hold only unsigned
+    decimal integers separated by spaces or tabs, at least two per line
+    (extra fields are ignored), each fitting int64, with LF or CRLF line
+    ends.  Empty and comment-only files are left to the general path too.
+    """
+    path = os.fspath(path)
+    with (gzip.open(path, "rb") if path.endswith(".gz") else open(path, "rb")) as handle:
+        data = handle.read()
+    # Non-ASCII bytes (even in comments) decode, or fail to, on the general
+    # path; a lone CR is a line break in text mode.
+    if not data.isascii() or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
+        return None
+    data = _drop_comment_lines(data)
+    if data is None or data.translate(None, _INT_TEXT_BYTES):
+        return None
+    if not data or data.isspace():  # no field at all: empty or comment-only
+        return None
+    try:
+        pairs = np.loadtxt(
+            io.BytesIO(data), dtype=np.int64, comments=None, usecols=(0, 1), ndmin=2
+        )
+    except ValueError:  # a line with one field, or a value past int64
+        return None
+    # Dense ids in order of first appearance, as GraphBuilder interns them.
+    flat = pairs.ravel()
+    values, inverse = np.unique(flat, return_inverse=True)
+    first = np.full(len(values), len(flat), dtype=np.int64)
+    np.minimum.at(first, inverse, np.arange(len(flat), dtype=np.int64))
+    appearance = np.argsort(first)
+    dense = np.empty(len(values), dtype=np.int64)
+    dense[appearance] = np.arange(len(values), dtype=np.int64)
+    ids = dense[inverse].reshape(-1, 2)
+    graph, loops, dups = graph_from_endpoints(ids[:, 0], ids[:, 1], len(values))
+    return LoadedGraph(graph, values[appearance].tolist(), loops, dups)
 
 
 def save_edge_list(graph: Graph, path: str | os.PathLike, *, header: str | None = None) -> None:
@@ -151,15 +234,11 @@ def save_npz(graph: Graph, path: str | os.PathLike) -> None:
     magnitude faster than re-parsing a text edge list, which matters when
     the benchmark suite re-reads the larger stand-ins repeatedly.
     """
-    import numpy as np
-
     np.savez_compressed(os.fspath(path), indptr=graph.indptr, indices=graph.indices)
 
 
 def load_npz(path: str | os.PathLike) -> Graph:
     """Load a graph saved by :func:`save_npz` (validated on load)."""
-    import numpy as np
-
     with np.load(os.fspath(path)) as data:
         try:
             indptr, indices = data["indptr"], data["indices"]

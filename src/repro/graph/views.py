@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..kernels import KernelBackend, get_backend
-from .csr import Graph
+from .csr import Graph, graph_from_edge_keys
 
 __all__ = [
     "induced_subgraph",
@@ -50,16 +50,11 @@ def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> tuple[Graph, np.n
     degrees = graph.degrees()
     src = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), degrees)
     dst = graph.indices
-    keep = mask[src] & mask[dst]
-    src, dst = new_id[src[keep]], new_id[dst[keep]]
-    # Each undirected edge survives in both directions; build CSR directly.
+    # One arc per internal edge, u < v; relabelling keeps the id order.
+    keep = mask[src] & mask[dst] & (src < dst)
     n_sub = len(original_ids)
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    indptr = np.zeros(n_sub + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return Graph(indptr, dst, validate=False), original_ids
+    subgraph, _ = graph_from_edge_keys(new_id[src[keep]] * n_sub + new_id[dst[keep]], n_sub)
+    return subgraph, original_ids
 
 
 def subgraph_counts(graph: Graph, vertices: Iterable[int]) -> tuple[int, int, int]:

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..graph.csr import Graph
 
-__all__ = ["concat_ranges", "exact_peel", "rank_forward_adjacency"]
+__all__ = ["concat_ranges", "exact_peel", "rank_forward_adjacency", "rank_sort_arcs"]
 
 
 def concat_ranges(values: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -102,16 +102,31 @@ def rank_forward_adjacency(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.nda
     """
     n = graph.num_vertices
     degrees = graph.degrees()
+    order = np.argsort(degrees, kind="stable")
     order_val = np.empty(n, dtype=np.int64)
-    order_val[np.lexsort((np.arange(n), degrees))] = np.arange(n, dtype=np.int64)
+    order_val[order] = np.arange(n, dtype=np.int64)
 
     src = np.repeat(np.arange(n, dtype=np.int64), degrees)
     dst = graph.indices
     keep = order_val[src] < order_val[dst]
     src, dst = src[keep], dst[keep]
-    perm = np.lexsort((order_val[dst], src))
-    src, dst = src[perm], dst[perm]
+    _, out_idx = rank_sort_arcs(src, dst, order_val, order)
     out_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(out_ptr, src + 1, 1)
-    np.cumsum(out_ptr, out=out_ptr)
-    return out_ptr, dst, order_val
+    np.cumsum(np.bincount(src, minlength=n), out=out_ptr[1:])
+    return out_ptr, out_idx, order_val
+
+
+def rank_sort_arcs(
+    rows: np.ndarray, nbrs: np.ndarray, rank: np.ndarray, order: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group arcs ``rows[i] -> nbrs[i]`` by row, each row by neighbour rank.
+
+    ``rank`` is a permutation of ``0..n-1`` and ``order`` its inverse.  The
+    arcs are sorted as one int64 key ``row * n + rank[nbr]`` each (ranks are
+    unique, so no two arcs of a simple graph share a key).  Returns the
+    sorted keys and the neighbours in key order, ``order[key % n]``.
+    """
+    n = len(rank)
+    key = rows * n + rank[nbrs]
+    key.sort()
+    return key, order[key % n]

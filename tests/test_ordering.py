@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core import core_decomposition, order_vertices
+from repro.engine import level_ordering
+from repro.generators import powerlaw_chung_lu, rmat_graph
+from repro.graph import Graph
+from repro.kernels.common import rank_forward_adjacency
 from conftest import random_graph, zoo_params
 
 
@@ -117,3 +121,84 @@ class TestConstruction:
 
     def test_repr(self, figure2):
         assert "kmax=3" in repr(order_vertices(figure2))
+
+
+def lexsort_ordering(graph, levels):
+    """Algorithm 1 as a two-key lexsort over the arcs: the test's witness.
+
+    Arcs are sorted by ``(row, rank of neighbour)`` and each tag is a
+    masked per-row count, independently of the single-key sort and the
+    binary searches the package uses.
+    """
+    n = graph.num_vertices
+    order = np.argsort(levels, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n, dtype=np.int64)
+    rows = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
+    perm = np.lexsort((rank[graph.indices], rows))
+    indices = graph.indices[perm]
+    nbr, own = levels[indices], levels[rows]
+
+    def tag(mask):
+        return np.bincount(rows[mask], minlength=n).astype(np.int64)
+
+    return {
+        "rank": rank,
+        "indptr": graph.indptr,
+        "indices": indices,
+        "same": tag(nbr < own),
+        "plus": tag(nbr <= own),
+        "high": tag(rank[indices] < rank[rows]),
+    }
+
+
+def witness_params():
+    """``pytest.mark.parametrize`` over the witness graphs."""
+    graphs = [
+        ("empty", Graph.empty(0)),
+        ("isolated", Graph.empty(6)),
+        ("star", Graph.from_edges([(0, i) for i in range(1, 9)])),
+        ("clique", Graph.from_edges([(i, j) for i in range(7) for j in range(i + 1, 7)])),
+        ("disconnected", Graph.from_edges([(0, 1), (1, 2), (0, 2), (4, 5), (5, 6)], num_vertices=9)),
+        ("chung_lu", powerlaw_chung_lu(2000, 8.0, seed=3)),
+        ("rmat", rmat_graph(10, 6000, seed=3)),
+    ]
+    return pytest.mark.parametrize(
+        "graph", [g for _, g in graphs], ids=[name for name, _ in graphs]
+    )
+
+
+def assert_matches_witness(ordering, witness):
+    for name, want in witness.items():
+        got = getattr(ordering, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+class TestLexsortWitness:
+    @witness_params()
+    def test_order_vertices(self, graph):
+        od = order_vertices(graph)
+        assert_matches_witness(od, lexsort_ordering(graph, od.decomposition.coreness))
+
+    @witness_params()
+    def test_level_ordering(self, graph):
+        # Arbitrary even levels (not a decomposition): ties, and empty odd levels.
+        levels = 2 * np.random.default_rng(7).integers(0, 5, graph.num_vertices)
+        assert_matches_witness(level_ordering(graph, levels), lexsort_ordering(graph, levels))
+
+    @witness_params()
+    def test_rank_forward_adjacency(self, graph):
+        n = graph.num_vertices
+        order_val = np.empty(n, dtype=np.int64)
+        order_val[np.lexsort((np.arange(n), graph.degrees()))] = np.arange(n)
+        src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
+        keep = order_val[src] < order_val[graph.indices]
+        src, dst = src[keep], graph.indices[keep]
+        perm = np.lexsort((order_val[dst], src))
+        want_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.add.at(want_ptr, src + 1, 1)
+        got = rank_forward_adjacency(graph)
+        for got_arr, want_arr in zip(got, (np.cumsum(want_ptr), dst[perm], order_val)):
+            assert got_arr.dtype == want_arr.dtype
+            assert np.array_equal(got_arr, want_arr)
