@@ -38,7 +38,6 @@ from ..core import (
     best_kcore_set,
     best_single_kcore,
     build_core_forest,
-    build_core_forest_union_find,
     core_decomposition,
     get_metric,
     kcore_set_scores,
@@ -47,6 +46,7 @@ from ..core import (
 from ..engine import (
     baseline_family_set_scores,
     best_level_set,
+    build_level_forest_union_find,
     family_set_scores,
     get_family,
 )
@@ -529,7 +529,7 @@ def ablation_forest(
         graph = load_dataset(key, scale=scale)
         decomp = core_decomposition(graph)
         lcps, lcps_t = time_call(build_core_forest, graph, decomp)
-        uf, uf_t = time_call(build_core_forest_union_find, graph, decomp)
+        uf, uf_t = time_call(build_level_forest_union_find, graph, decomp.coreness)
         assert lcps.num_nodes == uf.num_nodes
         table.add_row(key, format_seconds(lcps_t), format_seconds(uf_t), lcps.num_nodes)
     return table

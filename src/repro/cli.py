@@ -402,7 +402,8 @@ def _cmd_bestk(args, which: str) -> int:
         )
         start = time.perf_counter()
         if which == "core":
-            # Problem 2 stays core-specific (Algorithm 5 over the core forest).
+            # Problem 2 through the index: Algorithm 5 over the core forest,
+            # its artifacts cached and shared across --all-metrics.
             metrics = PAPER_METRICS if args.all_metrics else (args.metric or "average_degree",)
             if resolve_jobs(index.jobs) > 1:
                 index.prebuild(("core",), metrics=tuple(metrics), problem2=True)

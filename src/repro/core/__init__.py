@@ -8,8 +8,8 @@ Submodules
 ``metrics``         the community scoring metric registry
 ``triangles``       exact + incremental triangle/triplet counting
 ``bestk_set``       Problem 1: baseline + Algorithms 2 and 3
-``forest``          Algorithm 4 (LCPS) core forest + union-find cross-check
-``bestk_core``      Problem 2: baseline + Algorithm 5
+``forest``          the core forest: Algorithm 4 (the engine's LCPS) on coreness
+``bestk_core``      Problem 2: baseline + Algorithm 5, through the engine
 ``naive``           slow definitional oracles for the test suite
 """
 
@@ -32,7 +32,7 @@ from .decomposition import ENGINES, CoreDecomposition, core_decomposition, resol
 from .dynamic import DynamicCoreness
 from .family import CoreFamily, core_level_view
 from .iterative import core_decomposition_hindex, semi_external_core_decomposition
-from .forest import CoreForest, CoreNode, build_core_forest, build_core_forest_union_find
+from .forest import CoreForest, CoreNode, build_core_forest
 from .metrics import (
     PAPER_METRICS,
     Metric,
@@ -67,7 +67,6 @@ __all__ = [
     "best_kcore_set",
     "best_single_kcore",
     "build_core_forest",
-    "build_core_forest_union_find",
     "combined_kcore_scores",
     "combined_kcore_set_scores",
     "core_decomposition",

@@ -1,7 +1,8 @@
 """Finding the best single k-core — paper Section IV.
 
 Candidates are **all** connected k-cores of **all** orders ``0..kmax`` —
-exactly the nodes of the core forest.  Two paths:
+exactly the nodes of the core forest.  Both paths are the engine's
+generic Problem 2 (:mod:`repro.engine.forest`) on the core family:
 
 * :func:`baseline_kcore_scores` — the paper's baseline (Section IV-B):
   reconstruct each core's vertex set from the forest and recompute its
@@ -12,9 +13,10 @@ exactly the nodes of the core forest.  Two paths:
   per-vertex deltas as Algorithms 2/3, grouped by node instead of by
   shell).
 
-Both return :class:`KCoreScores`; :func:`best_single_kcore` picks the
-winner, with ties broken towards the largest k (then the smallest node id,
-for determinism).
+Both return the engine's :class:`~repro.engine.forest.LevelNodeScores`
+(``KCoreScores`` names it); :func:`best_single_kcore` picks the winner,
+with ties broken towards the largest k (then the smallest node id, for
+determinism).
 """
 
 from __future__ import annotations
@@ -23,12 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..engine.forest import (
+    LevelForest,
+    LevelNodeScores,
+    baseline_family_node_scores,
+    family_node_scores,
+)
 from ..graph.csr import Graph
-from .forest import CoreForest, build_core_forest
+from .family import core_level_view
 from .metrics import Metric, get_metric
 from .ordering import OrderedGraph, order_vertices
-from .primary import GraphTotals, PrimaryValues, graph_totals, primary_values
-from .triangles import triangles_by_min_rank_vertex, triplet_group_deltas
 
 __all__ = [
     "KCoreScores",
@@ -36,43 +42,9 @@ __all__ = [
     "kcore_scores",
     "baseline_kcore_scores",
     "best_single_kcore",
-    "forest_base_totals",
-    "forest_triangle_totals",
-    "scores_from_forest_totals",
 ]
 
-
-@dataclass(frozen=True)
-class KCoreScores:
-    """Scores and primary values of every connected k-core (forest node)."""
-
-    metric: Metric
-    totals: GraphTotals
-    forest: CoreForest
-    #: ``scores[i]`` = metric score of forest node i's core.
-    scores: np.ndarray
-    #: ``values[i]`` = primary values of forest node i's core.
-    values: tuple[PrimaryValues, ...]
-
-    def best_node(self) -> int:
-        """Node id of the best core; ties towards largest k, then lowest id."""
-        scores = self.scores
-        finite = ~np.isnan(scores)
-        if not finite.any():
-            raise ValueError("no candidate k-core to choose from")
-        best = np.nanmax(scores)
-        candidates = np.flatnonzero(finite & (scores == best))
-        ks = np.asarray([self.forest.nodes[int(i)].k for i in candidates])
-        winners = candidates[ks == ks.max()]
-        return int(winners.min())
-
-    def ranked_nodes(self) -> np.ndarray:
-        """Node ids sorted by descending score (nan last)."""
-        keys = np.where(np.isnan(self.scores), -np.inf, self.scores)
-        return np.argsort(-keys, kind="stable")
-
-    def __repr__(self) -> str:
-        return f"KCoreScores(metric={self.metric.name!r}, cores={len(self.scores)})"
+KCoreScores = LevelNodeScores
 
 
 @dataclass(frozen=True)
@@ -83,9 +55,22 @@ class BestCoreResult:
     k: int
     score: float
     node_id: int
-    scores: KCoreScores
+    scores: LevelNodeScores
     #: Full vertex set of the winning core (sorted ascending).
     vertices: np.ndarray
+
+    @classmethod
+    def from_scores(cls, scored: LevelNodeScores) -> "BestCoreResult":
+        """The winner of ``scored`` (:meth:`~LevelNodeScores.best_node`)."""
+        node_id = scored.best_node()
+        return cls(
+            metric_name=scored.metric.name,
+            k=scored.forest.nodes[node_id].k,
+            score=float(scored.scores[node_id]),
+            node_id=node_id,
+            scores=scored,
+            vertices=scored.forest.core_vertices(node_id),
+        )
 
     def __repr__(self) -> str:
         return (
@@ -94,114 +79,14 @@ class BestCoreResult:
         )
 
 
-def _node_shell_deltas(
-    ordered: OrderedGraph, forest: CoreForest
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-node (2*in, out, num) contributions of each node's own vertices."""
-    deg = np.diff(ordered.indptr)
-    n_lt = ordered.same
-    n_eq = ordered.plus - ordered.same
-    n_gt = deg - ordered.plus
-    twice_in_contrib = 2 * n_gt + n_eq
-    out_contrib = n_lt - n_gt
-
-    count = forest.num_nodes
-    twice_in = np.zeros(count, dtype=np.int64)
-    out = np.zeros(count, dtype=np.int64)
-    num = np.zeros(count, dtype=np.int64)
-    for node in forest.nodes:
-        members = node.vertices
-        twice_in[node.node_id] = int(twice_in_contrib[members].sum())
-        out[node.node_id] = int(out_contrib[members].sum())
-        num[node.node_id] = len(members)
-    return twice_in, out, num
-
-
-def _aggregate_children(forest: CoreForest, *arrays: np.ndarray) -> None:
-    """Add each node's children totals into the node, in place.
-
-    Children precede parents (descending-k storage): one forward scan.
-    """
-    for node in forest.nodes:
-        for child in node.children:
-            for arr in arrays:
-                arr[node.node_id] += arr[child]
-
-
-def forest_base_totals(
-    ordered: OrderedGraph, forest: CoreForest
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Aggregated ``(2*in, out, num)`` totals of every forest node's core."""
-    twice_in, out, num = _node_shell_deltas(ordered, forest)
-    _aggregate_children(forest, twice_in, out, num)
-    return twice_in, out, num
-
-
-def forest_triangle_totals(
-    ordered: OrderedGraph,
-    forest: CoreForest,
-    *,
-    backend=None,
-    charges: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Aggregated triangle/triplet totals of every forest node's core.
-
-    A precomputed per-vertex ``charges`` array (e.g. cached on a
-    :class:`~repro.index.BestKIndex`) skips the O(m^1.5) pass.
-    """
-    if charges is None:
-        charges = triangles_by_min_rank_vertex(ordered, backend=backend)
-    tri = np.zeros(forest.num_nodes, dtype=np.int64)
-    for node in forest.nodes:
-        if len(node.vertices):
-            tri[node.node_id] = int(charges[node.vertices].sum())
-    trip = triplet_group_deltas(
-        ordered, [node.vertices for node in forest.nodes], backend=backend
-    )
-    _aggregate_children(forest, tri, trip)
-    return tri, trip
-
-
-def scores_from_forest_totals(
-    metric: Metric,
-    totals: GraphTotals,
-    forest: CoreForest,
-    twice_in: np.ndarray,
-    out: np.ndarray,
-    num: np.ndarray,
-    tri: np.ndarray | None = None,
-    trip: np.ndarray | None = None,
-) -> KCoreScores:
-    """Assemble :class:`KCoreScores` from precomputed per-node totals.
-
-    The O(#nodes) scoring tail of Algorithm 5, split out so the shared
-    :class:`~repro.index.BestKIndex` can reuse one aggregation across every
-    metric.
-    """
-    values = []
-    scores = np.full(forest.num_nodes, np.nan)
-    for node in forest.nodes:
-        i = node.node_id
-        pv = PrimaryValues(
-            num_vertices=int(num[i]),
-            num_edges=int(twice_in[i]) // 2,
-            num_boundary=int(out[i]),
-            num_triangles=None if tri is None else int(tri[i]),
-            num_triplets=None if trip is None else int(trip[i]),
-        )
-        values.append(pv)
-        scores[i] = metric.score(pv, totals)
-    return KCoreScores(metric, totals, forest, scores, tuple(values))
-
-
 def kcore_scores(
     graph: Graph,
     metric: str | Metric,
     *,
     ordered: OrderedGraph | None = None,
-    forest: CoreForest | None = None,
+    forest: LevelForest | None = None,
     index=None,
-) -> KCoreScores:
+) -> LevelNodeScores:
     """Score every connected k-core with Algorithm 5.
 
     Nodes are stored in descending coreness order, so children (strictly
@@ -217,41 +102,27 @@ def kcore_scores(
         return index.core_scores(metric)
     if ordered is None:
         ordered = order_vertices(graph)
-    if forest is None:
-        forest = build_core_forest(graph, ordered.decomposition)
-    totals = graph_totals(graph)
-
-    twice_in, out, num = forest_base_totals(ordered, forest)
-    tri = trip = None
-    if metric.requires_triangles:
-        tri, trip = forest_triangle_totals(ordered, forest)
-    return scores_from_forest_totals(metric, totals, forest, twice_in, out, num, tri, trip)
+    return family_node_scores(
+        graph, "core", metric,
+        decomposition=ordered.decomposition,
+        ordering=core_level_view(ordered),
+        forest=forest,
+    )
 
 
 def baseline_kcore_scores(
     graph: Graph,
     metric: str | Metric,
     *,
-    forest: CoreForest | None = None,
-) -> KCoreScores:
+    forest: LevelForest | None = None,
+) -> LevelNodeScores:
     """The paper's single-core baseline: score every core from scratch.
 
     The forest makes *retrieving* each core's vertex set cheap, but the
     primary values are recomputed per core by scanning its induced
     subgraph — ``O(sum_cores (q_i + |V(S_i)|))`` overall.
     """
-    metric = get_metric(metric)
-    if forest is None:
-        forest = build_core_forest(graph)
-    totals = graph_totals(graph)
-    values = []
-    scores = np.full(forest.num_nodes, np.nan)
-    for node in forest.nodes:
-        members = forest.core_vertices(node.node_id)
-        pv = primary_values(graph, members, count_triangles=metric.requires_triangles)
-        values.append(pv)
-        scores[node.node_id] = metric.score(pv, totals)
-    return KCoreScores(metric, totals, forest, scores, tuple(values))
+    return baseline_family_node_scores(graph, "core", get_metric(metric), forest=forest)
 
 
 def best_single_kcore(
@@ -259,7 +130,7 @@ def best_single_kcore(
     metric: str | Metric,
     *,
     ordered: OrderedGraph | None = None,
-    forest: CoreForest | None = None,
+    forest: LevelForest | None = None,
     index=None,
     use_baseline: bool = False,
 ) -> BestCoreResult:
@@ -272,27 +143,11 @@ def best_single_kcore(
     """
     metric = get_metric(metric)
     if index is not None:
+        if not use_baseline:
+            return index.best_core(metric)
         forest = index.forest
-        if use_baseline:
-            scored = baseline_kcore_scores(graph, metric, forest=forest)
-        else:
-            scored = index.core_scores(metric)
+    if use_baseline:
+        scored = baseline_kcore_scores(graph, metric, forest=forest)
     else:
-        if ordered is None:
-            ordered = order_vertices(graph)
-        if forest is None:
-            forest = build_core_forest(graph, ordered.decomposition)
-        if use_baseline:
-            scored = baseline_kcore_scores(graph, metric, forest=forest)
-        else:
-            scored = kcore_scores(graph, metric, ordered=ordered, forest=forest)
-    node_id = scored.best_node()
-    node = forest.nodes[node_id]
-    return BestCoreResult(
-        metric_name=metric.name,
-        k=node.k,
-        score=float(scored.scores[node_id]),
-        node_id=node_id,
-        scores=scored,
-        vertices=forest.core_vertices(node_id),
-    )
+        scored = kcore_scores(graph, metric, ordered=ordered, forest=forest)
+    return BestCoreResult.from_scores(scored)

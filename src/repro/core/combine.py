@@ -23,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..engine.forest import LevelForest, LevelNodeScores
+from ..errors import EmptyGraphError
 from ..graph.csr import Graph
-from .bestk_core import KCoreScores, kcore_scores
+from .bestk_core import kcore_scores
 from .bestk_set import kcore_set_scores
-from .forest import CoreForest
 from .metrics import Metric, get_metric
 from .ordering import OrderedGraph, order_vertices
 
@@ -100,7 +101,7 @@ def combined_kcore_set_scores(
     assert combined is not None
     finite = ~np.isnan(combined)
     if not finite.any():
-        raise ValueError("no non-empty k-core set to choose from")
+        raise EmptyGraphError("no non-empty k-core set to choose from")
     best = np.nanmax(combined)
     k = int(np.flatnonzero(finite & (combined == best)).max())
     return CombinedBestK(k=k, score=float(best), combined=combined, profiles=profiles)
@@ -111,7 +112,7 @@ def combined_kcore_scores(
     metrics: list[tuple[str | Metric, float]],
     *,
     ordered: OrderedGraph | None = None,
-    forest: CoreForest | None = None,
+    forest: LevelForest | None = None,
 ) -> CombinedBestK:
     """Best *single* k-core under a weighted metric combination."""
     resolved = _validate_weights(metrics)
@@ -120,7 +121,7 @@ def combined_kcore_scores(
     profiles: dict[str, np.ndarray] = {}
     combined: np.ndarray | None = None
     total_weight = sum(w for _, w in resolved)
-    scored_ref: KCoreScores | None = None
+    scored_ref: LevelNodeScores | None = None
     for metric, weight in resolved:
         scored = kcore_scores(graph, metric, ordered=ordered, forest=forest)
         scored_ref = scored
@@ -131,7 +132,7 @@ def combined_kcore_scores(
     assert combined is not None and scored_ref is not None
     finite = ~np.isnan(combined)
     if not finite.any():
-        raise ValueError("no candidate k-core to choose from")
+        raise EmptyGraphError("no candidate k-core to choose from")
     best = np.nanmax(combined)
     candidates = np.flatnonzero(finite & (combined == best))
     ks = np.asarray([scored_ref.forest.nodes[int(i)].k for i in candidates])

@@ -5,337 +5,29 @@ vertices of coreness k (Definition 6); the node's parent is the closest
 enclosing k'-core with k' < k (Definition 7).  The whole hierarchy is a
 forest with one tree per connected component of the graph, storable in O(n).
 
-Two independent constructions are provided:
-
-* :func:`build_core_forest` — the paper's LCPS (Level Component Priority
-  Search [42]) with a bucket priority queue, O(m) time.  Traversal expands
-  the highest-priority frontier vertex, where an edge ``(v, w)`` enqueues
-  ``w`` at priority ``min(c(v), c(w))`` — the level at which that edge
-  becomes internal.
-* :func:`build_core_forest_union_find` — a bottom-up union-find sweep over
-  the shells from ``kmax`` downward.  Same forest, entirely different
-  mechanics; the test suite checks the two agree node-for-node.
-
-Both apply the paper's post-processing: nodes that store no vertices are
-compressed away and the surviving nodes are sorted by descending coreness
-(the array ``T`` consumed by Algorithm 5).
+The k-core forest is the level forest of coreness: :func:`build_core_forest`
+runs the engine's LCPS (:func:`repro.engine.build_level_forest`, the one
+builder every hierarchy family shares) on the core numbers.
+``CoreNode`` / ``CoreForest`` name the engine's
+:class:`~repro.engine.forest.LevelNode` / :class:`~repro.engine.forest.LevelForest`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
+from ..engine.forest import LevelForest, LevelNode, build_level_forest
 from ..graph.csr import Graph
 from .decomposition import CoreDecomposition, core_decomposition
 
-__all__ = ["CoreNode", "CoreForest", "build_core_forest", "build_core_forest_union_find"]
+__all__ = ["CoreNode", "CoreForest", "build_core_forest"]
 
-
-@dataclass(frozen=True)
-class CoreNode:
-    """One k-core in the forest.
-
-    ``vertices`` holds only the core's coreness-k members (its k-shell part);
-    the full core is those plus every descendant's vertices
-    (:meth:`CoreForest.core_vertices`).
-    """
-
-    node_id: int
-    #: The order k of the k-core this node represents.
-    k: int
-    #: Vertices of the core with coreness exactly k (sorted ascending).
-    vertices: np.ndarray
-    #: Parent node id, or -1 for a root.
-    parent: int
-    #: Child node ids (cores nested immediately inside this one).
-    children: tuple[int, ...]
-
-    def __repr__(self) -> str:
-        return f"CoreNode(id={self.node_id}, k={self.k}, |shell|={len(self.vertices)})"
-
-
-class CoreForest:
-    """The compressed forest of all k-cores, nodes sorted by descending k.
-
-    Node ids are positions in :attr:`nodes`; because the list is sorted by
-    descending coreness, every child has a *smaller* id than its parent,
-    which lets Algorithm 5 aggregate primary values in a single forward
-    scan.
-    """
-
-    def __init__(self, nodes: list[CoreNode], num_vertices: int):
-        self.nodes: tuple[CoreNode, ...] = tuple(nodes)
-        self._vertex_node = np.full(num_vertices, -1, dtype=np.int64)
-        for node in nodes:
-            self._vertex_node[node.vertices] = node.node_id
-        self._vertex_node.setflags(write=False)
-
-    # ------------------------------------------------------------------
-    @property
-    def num_nodes(self) -> int:
-        """Number of k-cores in the hierarchy."""
-        return len(self.nodes)
-
-    @property
-    def roots(self) -> tuple[int, ...]:
-        """Node ids of the tree roots (one per connected component)."""
-        return tuple(n.node_id for n in self.nodes if n.parent == -1)
-
-    def node_of_vertex(self, v: int) -> int:
-        """Id of the node holding ``v`` (every vertex is in exactly one)."""
-        return int(self._vertex_node[v])
-
-    def core_vertices(self, node_id: int) -> np.ndarray:
-        """Full vertex set of the k-core represented by ``node_id``.
-
-        Reconstructed recursively from the node and its descendants, as in
-        the paper's Example 6; O(size of the core).
-        """
-        out: list[np.ndarray] = []
-        stack = [node_id]
-        while stack:
-            node = self.nodes[stack.pop()]
-            out.append(node.vertices)
-            stack.extend(node.children)
-        return np.sort(np.concatenate(out)) if out else np.empty(0, dtype=np.int64)
-
-    def core_containing(self, v: int, k: int) -> int:
-        """Node id of the k-core containing ``v`` (requires ``k <= c(v)``).
-
-        Walks up from v's own node; if no ancestor sits at level exactly
-        ``k``, the k-core coincides with the shallowest ancestor core at a
-        level ``>= k`` (cores at skipped levels have identical vertex sets).
-        """
-        node_id = self.node_of_vertex(v)
-        if self.nodes[node_id].k < k:
-            raise ValueError(f"vertex {v} has coreness {self.nodes[node_id].k} < k={k}")
-        while True:
-            node = self.nodes[node_id]
-            parent = node.parent
-            if node.k == k or parent == -1 or self.nodes[parent].k < k:
-                return node_id
-            node_id = parent
-
-    def __repr__(self) -> str:
-        return f"CoreForest(nodes={self.num_nodes}, roots={len(self.roots)})"
-
-
-# ----------------------------------------------------------------------
-# LCPS — Algorithm 4
-# ----------------------------------------------------------------------
-
-class _RawNode:
-    """Mutable node used during construction, before compression."""
-
-    __slots__ = ("level", "vertices", "children", "parent")
-
-    def __init__(self, level: int, parent: "_RawNode | None"):
-        self.level = level
-        self.vertices: list[int] = []
-        self.children: list[_RawNode] = []
-        self.parent = parent
-        if parent is not None:
-            parent.children.append(self)
+CoreNode = LevelNode
+CoreForest = LevelForest
 
 
 def build_core_forest(
     graph: Graph, decomposition: CoreDecomposition | None = None
-) -> CoreForest:
-    """Construct the core forest with LCPS (Algorithm 4), O(m).
-
-    The traversal keeps a bucket per priority level and a *path* of open
-    nodes from the current tree's root down to the core being explored.
-    Popping a vertex ``v`` at priority ``r``:
-
-    * retreats the path to level ``r`` (opening an empty node at ``r`` if the
-      path skipped that level — compression removes it later if it stays
-      empty), because the edge that discovered ``v`` is internal to the
-      r-core only;
-    * descends into a fresh node at level ``c(v)`` when ``c(v) > r`` —
-      ``v`` starts a deeper core nested inside the current one;
-    * inserts ``v`` (each vertex lands in a node at exactly its coreness)
-      and enqueues every unvisited neighbour ``w`` at ``min(c(v), c(w))``.
-    """
+) -> LevelForest:
+    """Construct the core forest with LCPS (Algorithm 4), O(m)."""
     if decomposition is None:
         decomposition = core_decomposition(graph)
-    coreness = decomposition.coreness
-    n = graph.num_vertices
-    indptr, indices = graph.indptr, graph.indices
-
-    visited = np.zeros(n, dtype=bool)
-    kmax = decomposition.kmax
-    bins: list[list[int]] = [[] for _ in range(kmax + 1)]
-    raw_roots: list[_RawNode] = []
-
-    coreness_l = coreness.tolist()
-    indptr_l = indptr.tolist()
-    indices_l = indices.tolist()
-    visited_l = visited.tolist()
-
-    for seed in range(n):
-        if visited_l[seed]:
-            continue
-        root = _RawNode(0, None)
-        raw_roots.append(root)
-        path: list[_RawNode] = [root]
-        bins[0].append(seed)
-        top = 0  # highest possibly-non-empty bin
-        while top >= 0:
-            if not bins[top]:
-                top -= 1
-                continue
-            v = bins[top].pop()
-            r = top
-            if visited_l[v]:
-                continue
-            cv = coreness_l[v]
-            # Retreat to level r (the level at which v's discovering edge is
-            # internal), opening a node at r if the path skipped it.  When a
-            # node is opened, the subtree just retreated from lies *inside*
-            # the r-core it represents, so the new node adopts it.
-            retreated = None
-            while path[-1].level > r:
-                retreated = path.pop()
-            if path[-1].level < r:
-                opened = _RawNode(r, path[-1])
-                if retreated is not None:
-                    retreated.parent.children.remove(retreated)
-                    retreated.parent = opened
-                    opened.children.append(retreated)
-                path.append(opened)
-            # Descend into v's own core level.
-            if cv > r:
-                path.append(_RawNode(cv, path[-1]))
-            path[-1].vertices.append(v)
-            visited_l[v] = True
-            for j in range(indptr_l[v], indptr_l[v + 1]):
-                w = indices_l[j]
-                if not visited_l[w]:
-                    p = min(coreness_l[w], cv)
-                    bins[p].append(w)
-                    if p > top:
-                        top = p
-
-    return _compress(raw_roots, n)
-
-
-def _compress(raw_roots: list[_RawNode], num_vertices: int) -> CoreForest:
-    """Drop empty nodes, renumber by descending coreness, build CoreForest."""
-    # Collect surviving nodes with their effective parent (nearest non-empty
-    # ancestor).
-    survivors: list[tuple[_RawNode, _RawNode | None]] = []
-    stack: list[tuple[_RawNode, _RawNode | None]] = [(r, None) for r in raw_roots]
-    while stack:
-        node, eff_parent = stack.pop()
-        keep = bool(node.vertices)
-        if keep:
-            survivors.append((node, eff_parent))
-        next_parent = node if keep else eff_parent
-        stack.extend((c, next_parent) for c in node.children)
-
-    # Sort by descending coreness; stable on discovery order for ties.
-    survivors.sort(key=lambda pair: -pair[0].level)
-    ids: dict[int, int] = {id(node): i for i, (node, _) in enumerate(survivors)}
-    children: list[list[int]] = [[] for _ in survivors]
-    parents: list[int] = []
-    for i, (node, eff_parent) in enumerate(survivors):
-        pid = -1 if eff_parent is None else ids[id(eff_parent)]
-        parents.append(pid)
-        if pid != -1:
-            children[pid].append(i)
-    nodes = [
-        CoreNode(
-            node_id=i,
-            k=node.level,
-            vertices=np.asarray(sorted(node.vertices), dtype=np.int64),
-            parent=parents[i],
-            children=tuple(children[i]),
-        )
-        for i, (node, _) in enumerate(survivors)
-    ]
-    return CoreForest(nodes, num_vertices)
-
-
-# ----------------------------------------------------------------------
-# Union-find cross-check builder
-# ----------------------------------------------------------------------
-
-def build_core_forest_union_find(
-    graph: Graph, decomposition: CoreDecomposition | None = None
-) -> CoreForest:
-    """Construct the same forest bottom-up with union-find.
-
-    Shells are activated from ``kmax`` downward; edges whose both endpoints
-    are active are unioned.  After shell k, every union-find component is
-    exactly one connected k-core; each component that gained coreness-k
-    vertices becomes a node whose children are the component's previous top
-    nodes.  O(m α(n)).
-    """
-    if decomposition is None:
-        decomposition = core_decomposition(graph)
-    coreness = decomposition.coreness
-    n = graph.num_vertices
-    kmax = decomposition.kmax
-    indptr, indices = graph.indptr, graph.indices
-
-    parent_uf = np.arange(n, dtype=np.int64)
-
-    def find(x: int) -> int:
-        root = x
-        while parent_uf[root] != root:
-            root = parent_uf[root]
-        while parent_uf[x] != root:
-            parent_uf[x], x = root, parent_uf[x]
-        return root
-
-    # pending[root] = top node ids currently representing that component.
-    pending: dict[int, list[int]] = {}
-    node_levels: list[int] = []
-    node_vertices: list[np.ndarray] = []
-    node_children: list[list[int]] = []
-
-    active = np.zeros(n, dtype=bool)
-    for k in range(kmax, -1, -1):
-        shell = decomposition.shell(k)
-        if len(shell) == 0:
-            continue
-        active[shell] = True
-        for v in shell.tolist():
-            for j in range(indptr[v], indptr[v + 1]):
-                w = int(indices[j])
-                if active[w]:
-                    rv, rw = find(v), find(w)
-                    if rv != rw:
-                        parent_uf[rw] = rv
-                        merged = pending.pop(rv, []) + pending.pop(rw, [])
-                        if merged:
-                            pending[rv] = merged
-        # Group the shell by component and emit one node per component.
-        by_root: dict[int, list[int]] = {}
-        for v in shell.tolist():
-            by_root.setdefault(find(v), []).append(v)
-        for root, members in by_root.items():
-            nid = len(node_levels)
-            node_levels.append(k)
-            node_vertices.append(np.asarray(sorted(members), dtype=np.int64))
-            node_children.append(pending.get(root, []))
-            pending[root] = [nid]
-
-    # Nodes were emitted in descending-k order already; wire parents.
-    parents = [-1] * len(node_levels)
-    for nid, kids in enumerate(node_children):
-        for child in kids:
-            parents[child] = nid
-    nodes = [
-        CoreNode(
-            node_id=nid,
-            k=node_levels[nid],
-            vertices=node_vertices[nid],
-            parent=parents[nid],
-            children=tuple(node_children[nid]),
-        )
-        for nid in range(len(node_levels))
-    ]
-    return CoreForest(nodes, n)
+    return build_level_forest(graph, decomposition.coreness)

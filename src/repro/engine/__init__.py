@@ -29,6 +29,7 @@ from .forest import (
     baseline_family_node_scores,
     best_connected_level_set,
     build_level_forest,
+    build_level_forest_union_find,
     family_node_scores,
 )
 from .levels import (
@@ -80,6 +81,7 @@ __all__ = [
     "best_connected_level_set",
     "best_level_set",
     "build_level_forest",
+    "build_level_forest_union_find",
     "count_triangles",
     "count_triangles_and_triplets",
     "count_triplets",

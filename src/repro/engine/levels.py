@@ -17,14 +17,12 @@ k-truss, weighted s-core, k-ECC, and anything registered later):
 * :func:`unweighted_level_charges` / :func:`accumulate_level_totals` /
   :func:`triangle_level_increments` — the per-vertex charges and suffix-sum
   accumulation of Algorithms 2/3, backend-aware via :mod:`repro.kernels`;
-* :func:`scores_from_level_totals` — the one O(L) scoring tail every
-  family routes through (there is deliberately no other per-level scan
-  loop anywhere in the package);
+* :func:`score_entries` — the one per-entry scoring loop, shared by the
+  per-level tail :func:`scores_from_level_totals` (Problem 1) and the
+  per-forest-node tail :func:`~repro.engine.forest.scores_from_node_totals`
+  (Problem 2, Algorithm 5);
 * :func:`level_set_scores` — the raw-levels entry point, itself expressed
   through the generic family machinery.
-
-Historic import path: this machinery originally lived in
-``repro.truss.levels``; that module remains as a deprecation re-export.
 """
 
 from __future__ import annotations
@@ -33,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import EmptyGraphError
 from ..graph.csr import Graph
 from ..kernels.common import rank_sort_arcs
 from .metrics import Metric
@@ -49,6 +48,7 @@ __all__ = [
     "accumulate_level_totals",
     "cumulate_from_top",
     "triangle_level_increments",
+    "score_entries",
     "scores_from_level_totals",
 ]
 
@@ -82,15 +82,20 @@ class LevelOrdering:
         return len(self.level_start) - 2
 
 
-def level_ordering(graph: Graph, levels: np.ndarray) -> LevelOrdering:
-    """Algorithm 1 generalised to an arbitrary non-negative level array."""
+def checked_levels(graph: Graph, levels) -> np.ndarray:
+    """``levels`` as int64, checked to hold one non-negative entry per vertex."""
     levels = np.asarray(levels, dtype=np.int64)
-    n = graph.num_vertices
-    if len(levels) != n:
+    if len(levels) != graph.num_vertices:
         raise ValueError("levels must have one entry per vertex")
     if len(levels) and levels.min() < 0:
         raise ValueError("levels must be non-negative")
+    return levels
 
+
+def level_ordering(graph: Graph, levels: np.ndarray) -> LevelOrdering:
+    """Algorithm 1 generalised to an arbitrary non-negative level array."""
+    levels = checked_levels(graph, levels)
+    n = graph.num_vertices
     order = np.argsort(levels, kind="stable").astype(np.int64)
     max_level = int(levels.max()) if n else 0
     counts = np.bincount(levels, minlength=max_level + 1) if n else np.zeros(1, np.int64)
@@ -176,7 +181,7 @@ class LevelSetScores:
         """Argmax of the scores; ties broken towards the largest k."""
         finite = ~np.isnan(self.scores)
         if not finite.any():
-            raise ValueError("no non-empty level set to choose from")
+            raise EmptyGraphError("no non-empty level set to choose from")
         best = np.nanmax(self.scores)
         return int(np.flatnonzero(finite & (self.scores == best)).max())
 
@@ -292,6 +297,45 @@ def _unweighted_values(
     )
 
 
+def score_entries(
+    metric: Metric,
+    totals: GraphTotals,
+    num: np.ndarray,
+    twice_in: np.ndarray,
+    out: np.ndarray,
+    tri: np.ndarray | None = None,
+    trip: np.ndarray | None = None,
+    *,
+    make_values=None,
+) -> tuple[np.ndarray, tuple]:
+    """Score one candidate set per entry of the accumulated totals.
+
+    THE scoring loop of the package: entry ``i`` of the ``num`` /
+    ``twice_in`` / ``out`` (and optional ``tri`` / ``trip``) arrays is one
+    candidate set — a level set for Algorithms 2/3, a forest node for
+    Algorithm 5.  ``make_values`` is the family hook that turns one entry
+    into its primary-values record (integer edge counts by default).
+    Returns ``(scores, values)``.
+
+    The columns become Python lists before the loop: a hook then sees
+    Python scalars, which it converts far faster than numpy scalars.
+    """
+    if make_values is None:
+        make_values = _unweighted_values
+    count = len(num)
+    missing = [None] * count
+    columns = zip(
+        np.asarray(num).tolist(),
+        np.asarray(twice_in).tolist(),
+        np.asarray(out).tolist(),
+        missing if tri is None else np.asarray(tri).tolist(),
+        missing if trip is None else np.asarray(trip).tolist(),
+    )
+    values = tuple(make_values(*entry) for entry in columns)
+    scores = np.array([metric.score(pv, totals) for pv in values], dtype=np.float64)
+    return scores, values
+
+
 def scores_from_level_totals(
     metric: Metric,
     totals: GraphTotals,
@@ -306,27 +350,19 @@ def scores_from_level_totals(
 ) -> LevelSetScores:
     """Assemble :class:`LevelSetScores` from accumulated per-set totals.
 
-    This is THE per-level scan loop of Algorithms 2/3 — the only one in the
-    package.  Every family (and the shared :class:`~repro.index.BestKIndex`)
-    funnels through it; ``make_values`` is the family hook that turns one
-    level's accumulated charges into its primary-values record.
+    The per-level tail of Algorithms 2/3.  Every family (and the shared
+    :class:`~repro.index.BestKIndex`) funnels through it; the totals hold
+    one more entry than there are levels (the empty set above the deepest
+    level), which is not scored.
     """
-    if make_values is None:
-        make_values = _unweighted_values
-    max_level = len(num_k) - 2
-    values = []
-    scores = np.full(max_level + 1, np.nan)
-    for k in range(max_level + 1):
-        pv = make_values(
-            num_k[k],
-            twice_in_k[k],
-            out_k[k],
-            None if tri_k is None else tri_k[k],
-            None if trip_k is None else trip_k[k],
-        )
-        values.append(pv)
-        scores[k] = metric.score(pv, totals)
-    return LevelSetScores(metric, totals, scores, tuple(values), thresholds)
+    last = len(num_k) - 1
+    scores, values = score_entries(
+        metric, totals, num_k[:last], twice_in_k[:last], out_k[:last],
+        None if tri_k is None else tri_k[:last],
+        None if trip_k is None else trip_k[:last],
+        make_values=make_values,
+    )
+    return LevelSetScores(metric, totals, scores, values, thresholds)
 
 
 def level_set_scores(

@@ -86,8 +86,13 @@ class MetricRequirementError(ReproError):
     """
 
 
-class EmptyGraphError(ReproError):
-    """An operation that needs at least one vertex/edge got an empty graph."""
+class EmptyGraphError(ReproError, ValueError):
+    """An operation that needs at least one vertex/edge got an empty graph.
+
+    Raised when a best-k query has no candidate set to choose from (an
+    empty or comment-only input file).  Also a ``ValueError``, so callers
+    that catch ``ValueError`` for a bad argument still catch it.
+    """
 
 
 class GraphDeltaError(ReproError):

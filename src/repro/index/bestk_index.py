@@ -64,21 +64,22 @@ from typing import Callable
 import numpy as np
 
 from .. import obs
-from ..core.bestk_core import (
-    BestCoreResult,
-    KCoreScores,
-    forest_base_totals,
-    forest_triangle_totals,
-    scores_from_forest_totals,
-)
+from ..core.bestk_core import BestCoreResult
 from ..core.decomposition import CoreDecomposition
-from ..core.forest import CoreForest, build_core_forest
 from ..core.ordering import OrderedGraph, order_vertices
 from ..engine.family import (
     BestLevelResult,
     HierarchyFamily,
     best_level_set,
     get_family,
+)
+from ..engine.forest import (
+    LevelForest,
+    LevelNodeScores,
+    build_level_forest,
+    node_totals,
+    node_triangle_totals,
+    scores_from_node_totals,
 )
 from ..engine.levels import (
     LevelOrdering,
@@ -87,6 +88,7 @@ from ..engine.levels import (
     cumulate_from_top,
     scores_from_level_totals,
     triangle_level_increments,
+    unweighted_level_charges,
 )
 from ..engine.metrics import PAPER_METRICS, Metric, get_metric
 from ..engine.primary import GraphTotals, graph_totals
@@ -230,7 +232,7 @@ class BestKIndex:
         #: Memoized per-(family, metric) level-set scores.
         self._scores: dict[tuple[str, str], LevelSetScores] = {}
         #: Memoized per-metric core-forest scores (Problem 2).
-        self._core_scores: dict[str, KCoreScores] = {}
+        self._core_scores: dict[str, LevelNodeScores] = {}
         #: Last-seen :meth:`HierarchyFamily.cache_token` per family.
         self._tokens: dict[str, object] = {}
 
@@ -713,12 +715,12 @@ class BestKIndex:
         return self._get("core:totals", lambda: graph_totals(self.graph))
 
     @property
-    def forest(self) -> CoreForest:
+    def forest(self) -> LevelForest:
         """The core forest (built only when a single-core query needs it)."""
         decomposition = self.decomposition
         return self._get(
             "core:forest",
-            lambda: build_core_forest(self.graph, decomposition),
+            lambda: build_level_forest(self.graph, decomposition.coreness),
             persist=(get_family("core"), {}),
         )
 
@@ -741,7 +743,7 @@ class BestKIndex:
         ordered, forest = self.ordered, self.forest
         return self._get(
             "core:node_totals",
-            lambda: forest_base_totals(ordered, forest),
+            lambda: node_totals(forest, *unweighted_level_charges(ordered)),
             persist=(get_family("core"), {}),
         )
 
@@ -749,7 +751,7 @@ class BestKIndex:
         ordered, forest = self.ordered, self.forest
         return self._get(
             "core:node_triangles",
-            lambda: forest_triangle_totals(
+            lambda: node_triangle_totals(
                 ordered,
                 forest,
                 backend=self.backend,
@@ -788,7 +790,7 @@ class BestKIndex:
     # ------------------------------------------------------------------
     # Problem 2: best single (connected) k-core
     # ------------------------------------------------------------------
-    def core_scores(self, metric: str | Metric) -> KCoreScores:
+    def core_scores(self, metric: str | Metric) -> LevelNodeScores:
         """Scores of every connected k-core under ``metric`` (memoized)."""
         metric = get_metric(metric)
         cached = self._core_scores.get(metric.name)
@@ -799,12 +801,12 @@ class BestKIndex:
             problem=2,
         ):
             score_start = time.perf_counter()
-            twice_in, out, num = self._node_totals()
+            num, twice_in, out = self._node_totals()
             tri = trip = None
             if metric.requires_triangles:
                 tri, trip = self._node_triangles()
-            result = scores_from_forest_totals(
-                metric, self.totals, self.forest, twice_in, out, num, tri, trip
+            result = scores_from_node_totals(
+                metric, self.totals, self.forest, num, twice_in, out, tri, trip
             )
             obs.observe(
                 "index.score_seconds", time.perf_counter() - score_start,
@@ -815,22 +817,11 @@ class BestKIndex:
 
     def best_core(self, metric: str | Metric) -> BestCoreResult:
         """The best single connected k-core under ``metric`` (Problem 2)."""
-        metric = get_metric(metric)
-        scored = self.core_scores(metric)
-        node_id = scored.best_node()
-        node = self.forest.nodes[node_id]
-        return BestCoreResult(
-            metric_name=metric.name,
-            k=node.k,
-            score=float(scored.scores[node_id]),
-            node_id=node_id,
-            scores=scored,
-            vertices=self.forest.core_vertices(node_id),
-        )
+        return BestCoreResult.from_scores(self.core_scores(metric))
 
     def score_cores_all_metrics(
         self, metrics: tuple[str, ...] = PAPER_METRICS
-    ) -> dict[str, KCoreScores]:
+    ) -> dict[str, LevelNodeScores]:
         """Batch Problem 2: every metric scored from the one shared index."""
         if resolve_jobs(self.jobs) > 1:
             self.prebuild(("core",), metrics=tuple(metrics), problem2=True)

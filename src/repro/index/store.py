@@ -51,10 +51,10 @@ import numpy as np
 
 from .. import obs
 from ..core.decomposition import CoreDecomposition
-from ..core.forest import CoreForest, CoreNode
 from ..core.ordering import OrderedGraph
 from ..dynamic.versioned import VersionedGraph, stamp_epoch_digest
 from ..engine.family import HierarchyFamily
+from ..engine.forest import LevelForest, LevelNode
 from ..engine.levels import LevelOrdering
 from ..graph.csr import Graph
 
@@ -135,7 +135,7 @@ def dump_artifact(fam: HierarchyFamily, name: str, value) -> dict[str, np.ndarra
         tri_k, trip_k = value
         return {"tri_k": tri_k, "trip_k": trip_k}
     if name == "node_totals":
-        twice_in, out, num = value
+        num, twice_in, out = value
         return {"twice_in": twice_in, "out": out, "num": num}
     if name == "node_triangles":
         tri, trip = value
@@ -143,7 +143,7 @@ def dump_artifact(fam: HierarchyFamily, name: str, value) -> dict[str, np.ndarra
     return None
 
 
-def _dump_forest(forest: CoreForest) -> dict[str, np.ndarray]:
+def _dump_forest(forest: LevelForest) -> dict[str, np.ndarray]:
     nodes = forest.nodes
     k = np.asarray([node.k for node in nodes], dtype=np.int64)
     parent = np.asarray([node.parent for node in nodes], dtype=np.int64)
@@ -157,19 +157,19 @@ def _dump_forest(forest: CoreForest) -> dict[str, np.ndarray]:
     return {"k": k, "parent": parent, "vert_ptr": vert_ptr, "vertices": vertices}
 
 
-def _load_forest(graph: Graph, fields: dict[str, np.ndarray]) -> CoreForest:
+def _load_forest(graph: Graph, fields: dict[str, np.ndarray]) -> LevelForest:
     k = np.asarray(fields["k"])
     parent = np.asarray(fields["parent"])
     vert_ptr = np.asarray(fields["vert_ptr"])
     vertices = np.asarray(fields["vertices"])
     children: list[list[int]] = [[] for _ in range(len(k))]
     # Nodes are stored (and rebuilt) in descending-k id order, so child ids
-    # ascend within each parent exactly as the builders produce them.
+    # ascend within each parent exactly as the builder produces them.
     for i, p in enumerate(parent.tolist()):
         if p >= 0:
             children[p].append(i)
     nodes = [
-        CoreNode(
+        LevelNode(
             node_id=i,
             k=int(k[i]),
             vertices=vertices[vert_ptr[i]:vert_ptr[i + 1]],
@@ -178,7 +178,7 @@ def _load_forest(graph: Graph, fields: dict[str, np.ndarray]) -> CoreForest:
         )
         for i in range(len(k))
     ]
-    return CoreForest(nodes, graph.num_vertices)
+    return LevelForest(nodes, graph.num_vertices)
 
 
 def _load_artifact(graph, fam, name, fields, *, decomposition, params):
@@ -203,7 +203,7 @@ def _load_artifact(graph, fam, name, fields, *, decomposition, params):
     if name == "level_triangles":
         return tuple(np.asarray(fields[f]) for f in ("tri_k", "trip_k"))
     if name == "node_totals":
-        return tuple(np.asarray(fields[f]) for f in ("twice_in", "out", "num"))
+        return tuple(np.asarray(fields[f]) for f in ("num", "twice_in", "out"))
     if name == "node_triangles":
         return tuple(np.asarray(fields[f]) for f in ("tri", "trip"))
     raise KeyError(name)

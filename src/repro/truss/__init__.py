@@ -15,7 +15,7 @@ from .forest import (
     best_single_ktruss,
     build_truss_forest,
 )
-from .levels import LevelOrdering, LevelSetScores, level_ordering, level_set_scores
+from ..engine.levels import LevelOrdering, LevelSetScores, level_ordering, level_set_scores
 
 __all__ = [
     "BestSingleTrussResult",

@@ -95,6 +95,20 @@ class TestCommands:
         assert main(["decompose", "/nonexistent/path.txt"]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ("set", "core"))
+    @pytest.mark.parametrize(
+        "content", ("", "# comments only\n# no edges\n"), ids=("empty", "comment-only")
+    )
+    def test_empty_hierarchy_is_a_one_line_error(self, command, content, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_text(content)
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in captured.err
+
 
 class TestVisualisationCommands:
     def test_forest(self, graph_file, capsys):

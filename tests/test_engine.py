@@ -108,8 +108,8 @@ class TestGenericEquivalence:
             generic = best_connected_level_set(graph, "core", metric)
             classic = best_single_kcore(graph, metric)
             assert generic.k == classic.k
-            assert generic.score == pytest.approx(classic.score)
-            assert np.array_equal(np.sort(generic.vertices), np.sort(classic.vertices))
+            assert generic.score == classic.score
+            assert np.array_equal(generic.vertices, classic.vertices)
 
     def test_raw_levels_entry_point(self, graph):
         from repro.core import core_decomposition
@@ -226,12 +226,6 @@ class TestToyFamilyEndToEnd:
 
 
 class TestShims:
-    def test_truss_levels_reexports(self):
-        from repro.engine.levels import LevelOrdering as engine_cls
-        from repro.truss.levels import LevelOrdering as shim_cls
-
-        assert shim_cls is engine_cls
-
     def test_historic_entry_points_delegate(self, graph, weights):
         from repro.core import best_kcore_set, kcore_set_scores
         from repro.ecc import best_kecc_set

@@ -1,16 +1,25 @@
-"""Tests for the core forest (Algorithm 4 LCPS + union-find cross-check)."""
+"""Tests for the level forest (Algorithm 4 LCPS + union-find cross-check)."""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.core import (
-    build_core_forest,
-    build_core_forest_union_find,
-    core_decomposition,
-)
+from repro.core import build_core_forest, core_decomposition
 from repro.core.naive import all_kcores_naive, coreness_naive
+from repro.engine import build_level_forest, build_level_forest_union_find, get_family
 from repro.graph import Graph
 from conftest import random_graph, zoo_params
+
+SETTINGS = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def union_find_core_forest(graph):
+    return build_level_forest_union_find(graph, core_decomposition(graph).coreness)
 
 
 def canonical(forest):
@@ -30,15 +39,73 @@ class TestAgainstEachOther:
     @zoo_params()
     def test_lcps_equals_union_find(self, graph):
         assert canonical(build_core_forest(graph)) == canonical(
-            build_core_forest_union_find(graph)
+            union_find_core_forest(graph)
         )
 
     @pytest.mark.parametrize("seed", range(10))
     def test_lcps_equals_union_find_random(self, seed):
         g = random_graph(30 + 5 * seed, 70 + 15 * seed, seed)
         assert canonical(build_core_forest(g)) == canonical(
-            build_core_forest_union_find(g)
+            union_find_core_forest(g)
         )
+
+
+@st.composite
+def small_graphs(draw, max_vertices=16, max_edges=40):
+    """A random simple graph: possibly empty, disconnected or edgeless."""
+    n = draw(st.integers(min_value=0, max_value=max_vertices))
+    if n < 2:
+        return Graph.empty(n)
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    raw = draw(st.lists(st.tuples(vertex, vertex), max_size=max_edges))
+    edges = sorted({(min(u, v), max(u, v)) for u, v in raw if u != v})
+    return Graph.from_edges(edges, num_vertices=n)
+
+
+@st.composite
+def graphs_with_levels(draw):
+    """A random graph with an arbitrary non-negative level per vertex.
+
+    Unlike coreness, such levels leave vertices with no neighbour at their
+    own level, isolated vertices at any level, and skipped levels.
+    """
+    graph = draw(small_graphs())
+    n = graph.num_vertices
+    levels = draw(st.lists(st.integers(min_value=0, max_value=5), min_size=n, max_size=n))
+    return graph, np.asarray(levels, dtype=np.int64)
+
+
+class TestLevelForestWitness:
+    """LCPS against the union-find reference on levels other than coreness."""
+
+    @SETTINGS
+    @given(graphs_with_levels())
+    def test_lcps_equals_union_find_arbitrary_levels(self, case):
+        graph, levels = case
+        assert canonical(build_level_forest(graph, levels)) == canonical(
+            build_level_forest_union_find(graph, levels)
+        )
+
+    @pytest.mark.parametrize("family", ("truss", "weighted", "ecc"))
+    @SETTINGS
+    @given(graph=small_graphs(), seed=st.integers(min_value=0, max_value=2**16))
+    def test_lcps_equals_union_find_family_levels(self, family, graph, seed):
+        fam = get_family(family)
+        params = {}
+        if family == "weighted":
+            weights = np.random.default_rng(seed).lognormal(sigma=0.7, size=graph.num_edges)
+            params = {"edge_weights": weights, "num_levels": 8}
+        levels = fam.levels(fam.decompose(graph, **params), **params)
+        assert canonical(build_level_forest(graph, levels)) == canonical(
+            build_level_forest_union_find(graph, levels)
+        )
+
+    @pytest.mark.parametrize("builder", (build_level_forest, build_level_forest_union_find))
+    def test_level_array_is_checked(self, builder, figure2):
+        with pytest.raises(ValueError):
+            builder(figure2, np.zeros(figure2.num_vertices - 1, dtype=np.int64))
+        with pytest.raises(ValueError):
+            builder(figure2, np.full(figure2.num_vertices, -1))
 
 
 class TestStructuralInvariants:

@@ -133,10 +133,10 @@ def _count_calls(monkeypatch, name: str) -> list:
 #: artifact-cache assertions instead.
 BUILDERS = (
     "order_vertices",
-    "build_core_forest",
+    "build_level_forest",
     "triangles_by_min_rank_vertex",
-    "forest_base_totals",
-    "forest_triangle_totals",
+    "node_totals",
+    "node_triangle_totals",
 )
 
 

@@ -16,7 +16,6 @@ from repro.core import (
     baseline_kcore_set_scores,
     best_kcore_set,
     build_core_forest,
-    build_core_forest_union_find,
     core_decomposition,
     kcore_scores,
     baseline_kcore_scores,
@@ -25,6 +24,7 @@ from repro.core import (
 )
 from repro.core.naive import coreness_naive, kcore_set_vertices_naive
 from repro.core.triangles import count_triangles, count_triplets
+from repro.engine import build_level_forest_union_find
 from repro.graph import Graph, GraphBuilder, validate_graph
 from repro.truss import level_set_scores, truss_decomposition, ktruss_set_scores, baseline_ktruss_set_scores
 
@@ -162,7 +162,8 @@ class TestForestInvariants:
                 ),
                 key=lambda t: (t[0], t[1]),
             )
-        assert canon(build_core_forest(g)) == canon(build_core_forest_union_find(g))
+        coreness = core_decomposition(g).coreness
+        assert canon(build_core_forest(g)) == canon(build_level_forest_union_find(g, coreness))
 
     @SETTINGS
     @given(graphs())

@@ -76,7 +76,7 @@ class TestWarmStart:
 
         counters = {
             name: _count_calls(monkeypatch, name)
-            for name in ("order_vertices", "build_core_forest",
+            for name in ("order_vertices", "build_level_forest",
                          "triangles_by_min_rank_vertex")
         }
         warm = BestKIndex(graph, jobs=1, store=store)
