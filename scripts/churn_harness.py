@@ -38,7 +38,7 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core import core_decomposition
-from repro.dynamic import GraphDelta
+from repro.dynamic import PLAN_CHOICES, GraphDelta
 from repro.generators import gnm_random_graph
 from repro.index import ArtifactStore, BestKIndex
 
@@ -107,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
              "(overrides --max-changes randomisation)",
     )
     parser.add_argument(
-        "--plan", default=None, choices=("auto", "edge", "batched", "rebuild"),
+        "--plan", default=None, choices=PLAN_CHOICES,
         help="force the maintenance strategy (default: cost-model planner)",
     )
     args = parser.parse_args(argv)
@@ -123,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
         store = ArtifactStore(tmp)
         index = BestKIndex(graph, store=store)
         index.best_set(METRICS[0])  # core baseline for incremental repair
-        paths = {"incremental": 0, "batched": 0, "rebuild": 0, "none": 0}
+        paths = {"batched": 0, "rebuild": 0, "none": 0}
         for step in range(args.steps):
             size = (
                 sizes[step % len(sizes)] if sizes

@@ -29,9 +29,7 @@ from .bestk_set import (
 )
 from .combine import CombinedBestK, combined_kcore_scores, combined_kcore_set_scores
 from .decomposition import ENGINES, CoreDecomposition, core_decomposition, resolve_engine
-from .dynamic import DynamicCoreness
 from .family import CoreFamily, core_level_view
-from .iterative import core_decomposition_hindex, semi_external_core_decomposition
 from .forest import CoreForest, CoreNode, build_core_forest
 from .metrics import (
     PAPER_METRICS,
@@ -52,7 +50,6 @@ __all__ = [
     "CoreFamily",
     "CoreForest",
     "CoreNode",
-    "DynamicCoreness",
     "ENGINES",
     "GraphTotals",
     "KCoreScores",
@@ -70,7 +67,6 @@ __all__ = [
     "combined_kcore_scores",
     "combined_kcore_set_scores",
     "core_decomposition",
-    "core_decomposition_hindex",
     "core_level_view",
     "count_triangles",
     "count_triangles_and_triplets",
@@ -83,5 +79,4 @@ __all__ = [
     "primary_values",
     "register_metric",
     "resolve_engine",
-    "semi_external_core_decomposition",
 ]

@@ -13,10 +13,9 @@ next one*:
     store identity stays correct by construction.
 :func:`incremental_core_numbers`
     Traversal-style core maintenance: repair coreness inside the touched
-    subcores — per edge over a python overlay, or batched through the
-    ``subcore_repair`` kernel — falling back to a full kernel peel when
-    locality cannot pay off (classified on the ``dynamic.maintain`` obs
-    counter).  A measured cost model (:func:`plan_maintenance`) picks the
+    subcores with one ``subcore_repair`` kernel dispatch, falling back to
+    a full kernel peel when locality cannot pay off (classified on the
+    ``dynamic.maintain`` obs counter).  A measured cost model (:func:`plan_maintenance`) picks the
     strategy per delta; ``REPRO_DYNAMIC_PLAN`` or ``plan=`` overrides it,
     and the verdict lands on ``dynamic.plan{choice,reason}``.
 

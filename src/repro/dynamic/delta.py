@@ -17,7 +17,6 @@ object be replayed against any snapshot of a lineage.
 
 from __future__ import annotations
 
-import gzip
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import GraphDeltaError
+from ..graph.io import _open_text
 
 __all__ = ["GraphDelta", "edges_from_file"]
 
@@ -122,15 +122,14 @@ def edges_from_file(path: str | Path) -> np.ndarray:
 
     One ``u v`` pair per line; blank lines and ``#`` comments are skipped.
     ``"-"`` reads from standard input, so a delta can be piped straight
-    into ``bestk apply --edges -``.  Returns a raw ``(k, 2)`` int64 array
-    — validation/canonicalisation happens in
+    into ``bestk apply --edges -``.  A truncated or non-gzip ``.gz`` file
+    raises :class:`~repro.errors.GraphFormatError`.  Returns a raw
+    ``(k, 2)`` int64 array — validation/canonicalisation happens in
     :meth:`GraphDelta.from_edges`.
     """
     if str(path) == "-":
         return _parse_edges(sys.stdin, "<stdin>")
-    path = Path(path)
-    opener = gzip.open if path.suffix == ".gz" else open
-    with opener(path, "rt", encoding="utf-8") as fh:
+    with _open_text(path, "r") as fh:
         return _parse_edges(fh, str(path))
 
 

@@ -25,17 +25,29 @@ class GraphIntegrityError(ReproError):
     """
 
 
-class UnknownMetricError(ReproError, KeyError):
-    """A community scoring metric name is not present in the registry."""
+class _UnknownNameError(ReproError, KeyError):
+    """A registry lookup failed; also a ``KeyError`` for dict-style callers."""
+
+    #: What the registry holds, as the message names it.
+    kind = "name"
 
     def __init__(self, name: str, available: tuple[str, ...] = ()):
         self.name = name
         self.available = available
         hint = f"; available: {', '.join(available)}" if available else ""
-        super().__init__(f"unknown community metric {name!r}{hint}")
+        super().__init__(f"unknown {self.kind} {name!r}{hint}")
+
+    # KeyError.__str__ repr()s its argument, which would quote the message.
+    __str__ = Exception.__str__
 
 
-class UnknownFamilyError(ReproError, KeyError):
+class UnknownMetricError(_UnknownNameError):
+    """A community scoring metric name is not present in the registry."""
+
+    kind = "community metric"
+
+
+class UnknownFamilyError(_UnknownNameError):
     """A hierarchy family name is not present in the registry.
 
     Raised by :func:`repro.engine.get_family` for names that neither a
@@ -43,39 +55,27 @@ class UnknownFamilyError(ReproError, KeyError):
     provides.
     """
 
-    def __init__(self, name: str, available: tuple[str, ...] = ()):
-        self.name = name
-        self.available = available
-        hint = f"; available: {', '.join(available)}" if available else ""
-        super().__init__(f"unknown hierarchy family {name!r}{hint}")
+    kind = "hierarchy family"
 
 
-class UnknownBackendError(ReproError, KeyError):
+class UnknownBackendError(_UnknownNameError):
     """A kernel backend name is not present in the registry.
 
     Raised by :func:`repro.kernels.get_backend` for unknown ``backend=``
     arguments and unknown ``REPRO_BACKEND`` environment values.
     """
 
-    def __init__(self, name: str, available: tuple[str, ...] = ()):
-        self.name = name
-        self.available = available
-        hint = f"; available: {', '.join(available)}" if available else ""
-        super().__init__(f"unknown kernel backend {name!r}{hint}")
+    kind = "kernel backend"
 
 
-class UnknownEngineError(ReproError, KeyError):
+class UnknownEngineError(_UnknownNameError):
     """A core-decomposition engine name is not recognised.
 
     Raised by :func:`repro.core.core_decomposition` for unknown ``engine=``
     arguments and unknown ``REPRO_ENGINE`` environment values.
     """
 
-    def __init__(self, name: str, available: tuple[str, ...] = ()):
-        self.name = name
-        self.available = available
-        hint = f"; available: {', '.join(available)}" if available else ""
-        super().__init__(f"unknown decomposition engine {name!r}{hint}")
+    kind = "decomposition engine"
 
 
 class MetricRequirementError(ReproError):

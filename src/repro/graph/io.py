@@ -14,6 +14,8 @@ from __future__ import annotations
 import gzip
 import io
 import os
+import zlib
+from contextlib import contextmanager
 from typing import IO, Iterator
 
 import numpy as np
@@ -60,12 +62,36 @@ class LoadedGraph:
         )
 
 
-def _open_text(path: str | os.PathLike, mode: str) -> IO[str]:
-    """Open ``path`` as text, transparently handling ``.gz`` suffixes."""
+@contextmanager
+def _gzip_errors(path: str):
+    """Re-raise a truncated or non-gzip ``.gz`` file's read errors.
+
+    ``gzip`` reports them only once the data is read, as ``EOFError``,
+    ``gzip.BadGzipFile`` or ``zlib.error``; they become a
+    :class:`GraphFormatError` that names the file.
+    """
+    try:
+        yield
+    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        raise GraphFormatError(f"{path}: unreadable gzip file ({exc})") from exc
+
+
+@contextmanager
+def _open_text(path: str | os.PathLike, mode: str) -> Iterator[IO[str]]:
+    """Open ``path`` as text, transparently handling ``.gz`` suffixes.
+
+    A context manager: gzip read errors raised inside its ``with`` body
+    surface as :class:`GraphFormatError`.
+    """
     path = os.fspath(path)
-    if path.endswith(".gz"):
-        return io.TextIOWrapper(gzip.open(path, mode + "b"), encoding="utf-8")
-    return open(path, mode + "t", encoding="utf-8")
+    if not path.endswith(".gz"):
+        with open(path, mode + "t", encoding="utf-8") as handle:
+            yield handle
+        return
+    with _gzip_errors(path), io.TextIOWrapper(
+        gzip.open(path, mode + "b"), encoding="utf-8"
+    ) as handle:
+        yield handle
 
 
 def iter_edge_lines(
@@ -179,7 +205,9 @@ def _load_int_edge_list(path: str | os.PathLike) -> LoadedGraph | None:
     ends.  Empty and comment-only files are left to the general path too.
     """
     path = os.fspath(path)
-    with (gzip.open(path, "rb") if path.endswith(".gz") else open(path, "rb")) as handle:
+    with _gzip_errors(path), (
+        gzip.open(path, "rb") if path.endswith(".gz") else open(path, "rb")
+    ) as handle:
         data = handle.read()
     # Non-ASCII bytes (even in comments) decode, or fail to, on the general
     # path; a lone CR is a line break in text mode.

@@ -897,8 +897,8 @@ class BestKIndex:
           coreness rebuilds the decomposition deterministically), so the
           peel never reruns even though downstream core artifacts
           (orderings, totals, forest) rebuild lazily — whether the repair
-          walks per edge, runs the batched ``subcore_repair`` kernel, or
-          re-peels is decided by the cost-model planner
+          runs the batched ``subcore_repair`` kernel or re-peels is
+          decided by the cost-model planner
           (:func:`~repro.dynamic.plan_maintenance`), forceable via
           ``plan=`` or ``REPRO_DYNAMIC_PLAN``;
         * **invalidated** — rebuild-on-change families (truss, weighted,

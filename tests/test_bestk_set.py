@@ -13,7 +13,11 @@ from repro.core import (
     kcore_set_scores,
     order_vertices,
 )
-from repro.core.bestk_set import shell_accumulate, triangle_triplet_by_shell
+from repro.engine.levels import (
+    accumulate_level_totals,
+    triangle_level_increments,
+    unweighted_level_charges,
+)
 from repro.core.naive import kcore_set_scores_naive, best_kcore_set_naive
 from repro.graph import Graph
 from conftest import random_graph, zoo_params
@@ -75,10 +79,19 @@ class TestAgainstBaselineAndOracle:
             assert fast.vertices.tolist() == slow.vertices.tolist()
 
 
+def core_level_totals(ordered):
+    """Per-k ``(num, 2*in, out)`` of every ``C_k``, through the engine."""
+    decomp = ordered.decomposition
+    twice_inside, boundary = unweighted_level_charges(ordered)
+    return accumulate_level_totals(
+        twice_inside, boundary, decomp.order, decomp.shell_start[: decomp.kmax + 2]
+    )
+
+
 class TestAccumulators:
-    def test_shell_accumulate_totals(self, figure2):
+    def test_level_totals_at_the_ends(self, figure2):
         od = order_vertices(figure2)
-        twice_in, out, num = shell_accumulate(od)
+        num, twice_in, out = core_level_totals(od)
         # k = 0: the whole graph.
         assert twice_in[0] == 2 * figure2.num_edges
         assert out[0] == 0
@@ -88,10 +101,8 @@ class TestAccumulators:
 
     def test_boundary_counts(self, figure2):
         od = order_vertices(figure2)
-        _, out, _ = shell_accumulate(od)
-        # The 3-core set has 5 boundary edges: (v3,v5), (v3,v6), (v9,v8)
-        # leave the 3-core... count from the construction: edges with
-        # exactly one endpoint of coreness 3.
+        _, _, out = core_level_totals(od)
+        # Boundary edges of the 3-core set: exactly one endpoint of coreness 3.
         expected = sum(
             1 for u, v in figure2.edges()
             if (od.decomposition.coreness[u] == 3) != (od.decomposition.coreness[v] == 3)
@@ -100,7 +111,10 @@ class TestAccumulators:
 
     def test_triangle_increments_sum(self, figure2):
         od = order_vertices(figure2)
-        tri_new, trip_new = triangle_triplet_by_shell(od)
+        decomp = od.decomposition
+        tri_new, trip_new = triangle_level_increments(
+            od, decomp.order, decomp.shell_start[: decomp.kmax + 2]
+        )
         assert tri_new.sum() == 10  # whole graph has 10 triangles
         assert trip_new[3] == 24
         assert trip_new[2] == 21  # Example 5: 45 - 24

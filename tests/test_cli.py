@@ -154,7 +154,7 @@ class TestDynamicCommands:
         assert main(["apply", graph_file, "--edges", delta_file]) == 0
         out = capsys.readouterr().out
         assert "epoch 1" in out and "+2 -0 edges" in out
-        assert "path=incremental" in out
+        assert "path=batched" in out
         assert "epoch not persisted" in out
 
     def test_apply_chains_through_cache(self, graph_file, delta_file, tmp_path, capsys):
@@ -163,7 +163,7 @@ class TestDynamicCommands:
         first = capsys.readouterr().out
         assert "epoch 1" in first and "1 epoch record(s)" in first
         # The second apply resumes epoch 1 from the store and deletes the
-        # same edges, chaining to epoch 2 on the incremental path.
+        # same edges, chaining to epoch 2 on the batched repair path.
         assert main([
             "apply", graph_file, "--edges", delta_file, "--delete",
             "--cache-dir", cache,
@@ -171,7 +171,7 @@ class TestDynamicCommands:
         second = capsys.readouterr().out
         assert "resuming lineage" in second and "at epoch 1" in second
         assert "epoch 2" in second and "+0 -2 edges" in second
-        assert "path=incremental" in second
+        assert "path=batched" in second
 
     def test_apply_strict_rejects_noop_edge(self, graph_file, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
@@ -204,6 +204,44 @@ class TestDynamicCommands:
         assert "latest epoch 1" in out
 
 
+@pytest.fixture()
+def bad_gzip_files(tmp_path):
+    """Truncated, corrupt-body and not-gzip-at-all ``.gz`` files."""
+    import gzip
+
+    data = gzip.compress(b"0 1\n1 2\n0 2\n2 3\n" * 50)
+    truncated = tmp_path / "truncated.txt.gz"
+    truncated.write_bytes(data[: len(data) // 2])
+    corrupt = tmp_path / "corrupt.txt.gz"
+    corrupt.write_bytes(data[:15] + b"\xff" * 10 + data[25:])
+    not_gzip = tmp_path / "plain.txt.gz"
+    not_gzip.write_bytes(b"0 1\n1 2\n")
+    return [str(truncated), str(corrupt), str(not_gzip)]
+
+
+def assert_one_line_error(capsys, *needles):
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert "Traceback" not in captured.err
+    for needle in needles:
+        assert needle in lines[0]
+
+
+class TestBadGzipInput:
+    @pytest.mark.parametrize("command", ("set", "core", "decompose"))
+    def test_graph_file(self, command, bad_gzip_files, capsys):
+        for path in bad_gzip_files:
+            assert main([command, path]) == 1
+            assert_one_line_error(capsys, path)
+
+    def test_delta_file(self, graph_file, bad_gzip_files, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        for path in bad_gzip_files:
+            assert main(["apply", graph_file, "--edges", path]) == 1
+            assert_one_line_error(capsys, path)
+
+
 class TestSelectorStrictness:
     def test_backends_check_available(self, capsys):
         assert main(["backends", "--check", "numpy"]) == 0
@@ -223,6 +261,13 @@ class TestSelectorStrictness:
         monkeypatch.setenv("REPRO_BACKEND", "bogus")
         assert main(["set", graph_file, "-m", "average_degree"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_unknown_backend_message_is_unquoted(self, graph_file, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "bogus")
+        assert main(["set", graph_file]) == 1
+        assert capsys.readouterr().err == (
+            "error: unknown kernel backend 'bogus'; available: native, numpy, python\n"
+        )
 
     def test_env_engine_bogus_fails_fast(self, graph_file, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "bogus")

@@ -1,14 +1,12 @@
 """Tests for batched subcore repair and the maintenance planner.
 
-The per-edge walk's churn equivalence lives in
-``tests/test_dynamic_incremental.py``; this module covers what PR 9
-added: the ``subcore_repair`` kernel path (forced via ``plan="batched"``
-so the cost model cannot route around it), the planner's guard/override
-chain, and the native kernel's bit-identical fallback.  The load-bearing
-property is the same — after any delta stream, maintained coreness must
-equal a cold ``core_decomposition`` of the final snapshot at every
-epoch — but here the stream runs at delta sizes the per-edge walk was
-never asked to survive (up to 10k edges per delta).
+This module covers the ``subcore_repair`` kernel path (forced via
+``plan="batched"`` so the cost model cannot route around it), the
+planner's guard/override chain, and the native kernel's bit-identical
+fallback.  The load-bearing property: after any delta stream,
+maintained coreness must equal a cold ``core_decomposition`` of the
+final snapshot at every epoch, at delta sizes from 1 up to 10k edges
+per delta.  Scripted single-edge streams live in ``tests/test_dynamic.py``.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from repro.dynamic.planner import cost_estimates
 from repro.kernels import get_backend
 from repro.kernels.native_backend import DISABLE_ENV_VAR
 
-BACKENDS = ("numpy", "native")
+BACKENDS = ("python", "numpy", "native")
 
 
 def edge_set(graph) -> set[tuple[int, int]]:
@@ -101,11 +99,10 @@ class TestBatchedChurnEquivalence:
         churn_stream(graph, (size, size), backend, plan="batched", seed=size)
 
     def test_ten_thousand_edge_delta(self):
-        # The 10k leg runs once on the fastest backend available — the
-        # point is that a delta bigger than the graph stays exact, not a
-        # per-backend timing sweep (that is bench_dynamic's job).
+        # A delta bigger than the graph stays exact on every backend.
         graph = random_graph(2000, 6000, seed=5)
-        churn_stream(graph, (10_000,), "native", plan="batched")
+        for backend in BACKENDS:
+            churn_stream(graph, (10_000,), backend, plan="batched")
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_delete_cascade_multilevel(self, backend):
@@ -149,7 +146,7 @@ class TestBatchedChurnEquivalence:
 
 class TestPlanner:
     def test_choices_are_closed(self):
-        assert PLAN_CHOICES == ("auto", "edge", "batched", "rebuild")
+        assert PLAN_CHOICES == ("auto", "batched", "rebuild")
 
     def test_explicit_override_beats_env(self, monkeypatch):
         monkeypatch.setenv(PLAN_ENV_VAR, "rebuild")
@@ -183,9 +180,9 @@ class TestPlanner:
         plan = plan_maintenance(900, 1000)
         assert plan.choice == "rebuild" and plan.reason == "large_delta"
 
-    def test_cost_model_picks_edge_for_single_change(self):
+    def test_cost_model_picks_batched_for_single_change(self):
         plan = plan_maintenance(1, 500_000, backend_name="native")
-        assert plan.choice == "edge" and plan.reason == "cost_model"
+        assert plan.choice == "batched" and plan.reason == "cost_model"
 
     def test_cost_model_picks_batched_for_medium_delta(self):
         plan = plan_maintenance(100, 500_000, backend_name="native")
@@ -193,7 +190,7 @@ class TestPlanner:
 
     def test_estimates_cover_every_strategy(self):
         est = cost_estimates(10, 500_000, "numpy")
-        assert set(est) == {"edge", "batched", "rebuild"}
+        assert set(est) == {"batched", "rebuild"}
         assert all(v > 0 for v in est.values())
 
     def test_plan_counter_emitted(self):

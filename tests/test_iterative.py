@@ -1,73 +1,66 @@
-"""Tests for the h-index and semi-external core decomposition engines."""
+"""Tests for the iterative (h-index fixpoint) core-decomposition engine.
+
+Coreness is the fixpoint of the h-index operator (Lü et al., Nature
+Comm. 2016; Montresor et al., *Distributed k-Core Decomposition*), which
+:mod:`repro.parallel.sharded` runs in memory and semi-externally over an
+``.npy`` edge file.  Both must be bit-identical to Batagelj–Zaversnik
+peeling.  ``tests/test_sharded.py`` covers the python and numpy kernels
+across shard counts; here the in-memory engine runs on the native kernel.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core import core_decomposition
-from repro.core.iterative import (
-    core_decomposition_hindex,
-    semi_external_core_decomposition,
+from repro.kernels import get_backend
+from repro.parallel.sharded import (
+    semi_external_core_numbers,
+    sharded_core_numbers,
+    write_edge_npy,
 )
-from repro.graph import save_edge_list
 from conftest import random_graph, zoo_params
+
+
+def peel_coreness(graph) -> list[int]:
+    return core_decomposition(graph, engine="peel").coreness.tolist()
 
 
 class TestHIndexEngine:
     @zoo_params()
     def test_matches_bz(self, graph):
-        expected = core_decomposition(graph).coreness
-        got = core_decomposition_hindex(graph)
-        assert got.tolist() == expected.tolist()
+        got = sharded_core_numbers(graph, backend="native", shards=2).coreness
+        assert got.tolist() == peel_coreness(graph)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_bz_random(self, seed):
         g = random_graph(40, 140, seed)
-        assert core_decomposition_hindex(g).tolist() == core_decomposition(g).coreness.tolist()
+        got = sharded_core_numbers(g, backend="native", shards=2).coreness
+        assert got.tolist() == peel_coreness(g)
 
     def test_monotone_upper_bound(self, figure2):
-        # One round only: estimates are still upper bounds on coreness.
-        partial = core_decomposition_hindex(figure2, max_rounds=1)
-        exact = core_decomposition(figure2).coreness
-        assert (partial >= exact).all()
+        # One round from the degrees: estimates are still upper bounds.
+        degrees = np.array(figure2.degrees(), dtype=np.int64)
+        verts = np.arange(figure2.num_vertices, dtype=np.int64)
+        exact = core_decomposition(figure2, engine="peel").coreness
+        for backend in ("python", "numpy", "native"):
+            partial = get_backend(backend).hindex_fixpoint(figure2, degrees, verts)
+            assert (partial >= exact).all() and (partial <= degrees).all()
 
 
 class TestSemiExternalEngine:
     def test_matches_in_memory(self, figure2, tmp_path):
-        path = tmp_path / "g.txt"
-        save_edge_list(figure2, path)
-        result = semi_external_core_decomposition(path)
-        expected = core_decomposition(figure2).coreness
-        # Labels are first-seen ints equal to the original ids here.
-        by_label = {label: int(c) for label, c in zip(result.labels, result.coreness)}
-        assert {v: int(expected[v]) for v in range(12)} == by_label
-
-    def test_gzip_input(self, figure2, tmp_path):
-        path = tmp_path / "g.txt.gz"
-        save_edge_list(figure2, path)
-        result = semi_external_core_decomposition(path)
-        assert result.coreness.max() == 3
+        path = write_edge_npy(figure2.edge_array(), tmp_path / "g.npy")
+        result = semi_external_core_numbers(path, chunk_edges=8)
+        assert result.coreness.tolist() == peel_coreness(figure2)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_graphs(self, seed, tmp_path):
         g = random_graph(35, 90, seed)
-        path = tmp_path / "g.txt"
-        save_edge_list(g, path)
-        result = semi_external_core_decomposition(path)
-        expected = core_decomposition(g).coreness
-        by_label = {label: int(c) for label, c in zip(result.labels, result.coreness)}
-        for v in range(g.num_vertices):
-            if g.degree(v):  # isolated vertices never appear in an edge list
-                assert by_label[v] == int(expected[v])
+        path = write_edge_npy(g.edge_array(), tmp_path / "g.npy")
+        result = semi_external_core_numbers(path, num_vertices=g.num_vertices)
+        assert result.coreness.tolist() == peel_coreness(g)
 
     def test_reports_pass_count(self, figure2, tmp_path):
-        path = tmp_path / "g.txt"
-        save_edge_list(figure2, path)
-        result = semi_external_core_decomposition(path)
-        assert result.passes >= 2  # degree pass + at least one refinement
-
-    def test_string_labels(self, tmp_path):
-        path = tmp_path / "g.txt"
-        path.write_text("a b\nb c\nc a\n")
-        result = semi_external_core_decomposition(path)
-        assert set(result.labels) == {"a", "b", "c"}
-        assert (result.coreness == 2).all()
+        path = write_edge_npy(figure2.edge_array(), tmp_path / "g.npy")
+        result = semi_external_core_numbers(path)
+        assert result.rounds >= 2  # at least one refinement + the quiet sweep

@@ -214,28 +214,39 @@ class TestTrussInvariants:
 
 
 class TestDynamicInvariants:
+    @staticmethod
+    def maintain(graph, deltas):
+        """Apply single-edge deltas with incremental repair; final coreness."""
+        from repro.dynamic import VersionedGraph, incremental_core_numbers
+        vg = VersionedGraph(graph)
+        core = core_decomposition(graph).coreness
+        for delta in deltas:
+            nxt = vg.apply(delta)
+            core = incremental_core_numbers(
+                vg.graph, core, nxt.applied, new_graph=nxt.graph
+            ).coreness
+            vg = nxt
+        return vg.graph, core
+
     @SETTINGS
     @given(graphs(max_vertices=14, max_edges=30))
     def test_incremental_build_matches_static(self, g):
-        from repro.core.dynamic import DynamicCoreness
-        dyn = DynamicCoreness(Graph.empty(g.num_vertices))
-        for u, v in g.edges():
-            dyn.insert_edge(u, v)
-        np.testing.assert_array_equal(
-            dyn.coreness(), core_decomposition(g).coreness
+        from repro.dynamic import GraphDelta
+        _, core = self.maintain(
+            Graph.empty(g.num_vertices),
+            [GraphDelta.from_edges(insert=[(u, v)]) for u, v in g.edges()],
         )
+        np.testing.assert_array_equal(core, core_decomposition(g).coreness)
 
     @SETTINGS
     @given(graphs(max_vertices=14, max_edges=30))
     def test_full_teardown_matches_static(self, g):
-        from repro.core.dynamic import DynamicCoreness
-        dyn = DynamicCoreness(g)
+        from repro.dynamic import GraphDelta
         edges = list(g.edges())
-        for u, v in edges[: len(edges) // 2]:
-            dyn.remove_edge(u, v)
-        np.testing.assert_array_equal(
-            dyn.coreness(), dyn.decomposition().coreness
+        final, core = self.maintain(
+            g, [GraphDelta.from_edges(delete=[e]) for e in edges[: len(edges) // 2]]
         )
+        np.testing.assert_array_equal(core, core_decomposition(final).coreness)
 
 
 class TestCombinedInvariants:
